@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +52,8 @@ var (
 // Options tunes Dial. The zero value works.
 type Options struct {
 	// Conns is the connection pool size. More connections spread
-	// pipelined load over more server-side poll loops; fewer coalesce
-	// harder. Default 2.
+	// pipelined load over more server-side poll loops; fewer put more
+	// calls into each write burst and each server poll. Default 2.
 	Conns int
 	// DialTimeout bounds each dial (including the hello exchange).
 	// Default 5s.
@@ -102,7 +103,7 @@ func (o *Options) fill() {
 // are safe for concurrent use by any number of goroutines; concurrent
 // calls through the same connection are multiplexed onto one wire
 // stream (each call is one pipelined request), which is what lets the
-// server coalesce them into shard-parallel batches.
+// server execute them as shard-parallel batches.
 type Client struct {
 	addr   string
 	opt    Options
@@ -822,6 +823,7 @@ type conn struct {
 	br      *bufio.Reader
 	wbufCap int // initial capacity of the writer's burst buffer
 	ids     atomic.Uint64
+	bursts  atomic.Uint64 // writer Writes, for the burst-size test
 
 	mu      sync.Mutex
 	queue   []wreq
@@ -892,8 +894,12 @@ func (cn *conn) takePending(id uint64) *call {
 }
 
 // roundtrip sends one request (payload owned by the caller) and waits
-// for its response, returning an owned response slice.
+// for its response, returning an owned response slice. A context that
+// is already done sends nothing and returns its error.
 func (cn *conn) roundtrip(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	id := cn.ids.Add(1)
 	cl := callPool.Get().(*call)
 	cl.payload, cl.status, cl.err, cl.respLen = nil, 0, nil, 0
@@ -950,8 +956,13 @@ func (cl *call) finish() ([]byte, error) {
 // queued, or a fail()-delivered completion — fail fires done after
 // closing the socket but without synchronizing with the writer
 // goroutine, which may still hold a swapped-out burst that reads
-// cl.req while it drains onto the dead socket.
+// cl.req while it drains onto the dead socket. A context that is
+// already done sends nothing: a response that raced a cancellation
+// would otherwise be returned as a success.
 func (cn *conn) roundtripPoint(ctx context.Context, op uint8, cl *call, n int) (val uint64, ok, reuse bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, false, true, err
+	}
 	id := cn.ids.Add(1)
 	cl.payload, cl.status, cl.err, cl.respLen = nil, 0, nil, 0
 	if err := cn.enqueue(id, op, cl.req[:n], cl); err != nil {
@@ -989,8 +1000,8 @@ const wburstRetain = 256 << 10
 // under the lock, append every frame into one owned buffer, and put
 // the whole burst on the wire with a single Write — one syscall per
 // burst, no intermediate bufio layer. This is what turns N concurrent
-// callers into one pipelined burst — which the server's coalescing
-// loop then turns into one ApplyBatch.
+// callers into one pipelined burst — which the server's poll loop
+// then turns into one ApplyBatch.
 func (cn *conn) writeLoop() {
 	var spare []wreq
 	out := make([]byte, 0, cn.wbufCap)
@@ -1000,6 +1011,15 @@ func (cn *conn) writeLoop() {
 		case <-cn.dead:
 			return
 		}
+		// Yield once before taking the queue. The caller that woke us
+		// put this goroutine in the scheduler's runnext slot, so it
+		// would run ahead of the callers the read loop has already made
+		// runnable, and each burst would carry one or two frames (and
+		// cost one write(2) each). After the yield those callers
+		// enqueue first and the burst carries all of them; on an idle
+		// connection Gosched returns at once. The yield is what sizes
+		// the bursts, not an optimization to remove.
+		runtime.Gosched()
 		for {
 			cn.mu.Lock()
 			batch := cn.queue
@@ -1021,6 +1041,7 @@ func (cn *conn) writeLoop() {
 			spare = batch
 		}
 		if len(out) > 0 {
+			cn.bursts.Add(1)
 			if _, err := cn.nc.Write(out); err != nil {
 				cn.fail(err)
 				return

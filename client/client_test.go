@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"blinktree/client"
 	"blinktree/internal/server"
 	"blinktree/internal/shard"
+	"blinktree/internal/wire"
 )
 
 // startServer binds a fresh server+router on addr ("127.0.0.1:0" for
@@ -151,6 +153,65 @@ func TestConcurrentCancellation(t *testing.T) {
 	n, err := c.Len(context.Background())
 	if err != nil || n != 8*100 {
 		t.Fatalf("len after cancellation storm: %d %v", n, err)
+	}
+}
+
+// TestCancelInFlightCall abandons a call whose request is already on
+// the wire: the caller gets context.Canceled at once, the late
+// response is dropped, and the connection keeps serving.
+func TestCancelInFlightCall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	received := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		if _, err := wire.ReadHello(br); err != nil {
+			return
+		}
+		if err := wire.WriteHelloVersion(nc, wire.Version); err != nil {
+			return
+		}
+		// Hold the first request's answer until its caller gave up.
+		id, _, _, err := wire.ReadFrame(br, nil)
+		if err != nil {
+			return
+		}
+		close(received)
+		<-release
+		if err := wire.WriteFrame(nc, id, wire.StatusOK, nil); err != nil {
+			return
+		}
+		if id, _, _, err = wire.ReadFrame(br, nil); err != nil {
+			return
+		}
+		wire.WriteFrame(nc, id, wire.StatusOK, nil)
+	}()
+	c, err := client.Dial(ln.Addr().String(), client.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- c.Ping(ctx) }()
+	<-received
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled in-flight ping: %v", err)
+	}
+	close(release)
+	if err := c.Ping(context.Background()); err != nil {
+		t.Fatalf("ping after an abandoned call: %v", err)
 	}
 }
 

@@ -11,10 +11,14 @@
 // gathers whatever calls are queued and writes them as one burst, a
 // reader goroutine matches responses to calls by request id. So N
 // goroutines calling Search/Upsert concurrently cost far fewer
-// syscalls than N round trips, and the server coalesces the burst
-// into a single shard-parallel batch (one WAL group commit per
-// touched shard on a durable server). Throughput therefore scales
-// with pipeline depth; see experiment E13.
+// syscalls than N round trips, and the server executes the burst as
+// a single shard-parallel batch (one WAL group commit per touched
+// shard on a durable server). Neither side waits on a timer: the
+// writer takes whatever callers queued while the previous burst was
+// on the wire, and the server whatever frames arrived while the
+// previous poll executed, so bursts grow with load and a lone caller
+// pays nothing extra. Throughput therefore scales with pipeline
+// depth; see experiment E13.
 //
 // Semantics across the wire:
 //
@@ -22,7 +26,8 @@
 //     via errors.Is, a duplicate insert blinktree.ErrDuplicate.
 //   - Every call takes a context; cancellation abandons the call
 //     (the response, if it arrives, is discarded) without disturbing
-//     other calls on the connection.
+//     other calls on the connection. A call whose context is already
+//     done is not sent at all.
 //   - Idempotent reads (Search, Scan, Len, Stats, Ping) are retried
 //     once on a fresh connection after a network failure
 //     (Options.RetryReads). Mutations are never retried: a lost

@@ -28,14 +28,17 @@
 // scripts/bench-update.sh).
 //
 // Baselines and comparison runs must come from the same machine class
-// (same GOMAXPROCS at minimum — the tool warns on a mismatch) or the
-// comparison is meaningless.
+// or the comparison is meaningless. The tool refuses (exit 2) when the
+// two reports' GOMAXPROCS differ; run sagivbench with GOMAXPROCS=1,
+// the value BENCH_baseline.json records.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -135,17 +138,17 @@ func allocCells(r *report) map[cellKey]float64 {
 }
 
 // pctEnv overrides *pct from the named environment variable.
-func pctEnv(name string, pct *float64) {
+func pctEnv(name string, pct *float64) error {
 	env := os.Getenv(name)
 	if env == "" {
-		return
+		return nil
 	}
 	v, err := strconv.ParseFloat(env, 64)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcompare: bad %s %q: %v\n", name, env, err)
-		os.Exit(2)
+		return fmt.Errorf("bad %s %q: %v", name, env, err)
 	}
 	*pct = v
+	return nil
 }
 
 // sortedKeys returns the union of both maps' keys in deterministic
@@ -183,56 +186,69 @@ func sortedKeys(a, b map[cellKey]float64) []cellKey {
 
 // printDeltas renders the full baseline/latest comparison as an
 // aligned table, one row per cell present in either report.
-func printDeltas(unit string, baseCells, latestCells map[cellKey]float64) {
-	fmt.Printf("%-4s  %-28s  %-16s  %12s  %12s  %8s\n", "exp", "config", "column", "baseline", "latest", "delta")
+func printDeltas(w io.Writer, baseCells, latestCells map[cellKey]float64) {
+	fmt.Fprintf(w, "%-4s  %-28s  %-16s  %12s  %12s  %8s\n", "exp", "config", "column", "baseline", "latest", "delta")
 	for _, k := range sortedKeys(baseCells, latestCells) {
 		b, inBase := baseCells[k]
 		l, inLatest := latestCells[k]
 		switch {
 		case !inLatest:
-			fmt.Printf("%-4s  %-28s  %-16s  %12.1f  %12s  %8s\n", k.exp, k.config, k.column, b, "-", "gone")
+			fmt.Fprintf(w, "%-4s  %-28s  %-16s  %12.1f  %12s  %8s\n", k.exp, k.config, k.column, b, "-", "gone")
 		case !inBase:
-			fmt.Printf("%-4s  %-28s  %-16s  %12s  %12.1f  %8s\n", k.exp, k.config, k.column, "-", l, "new")
+			fmt.Fprintf(w, "%-4s  %-28s  %-16s  %12s  %12.1f  %8s\n", k.exp, k.config, k.column, "-", l, "new")
 		default:
 			delta := 0.0
 			if b != 0 {
 				delta = (l - b) / b * 100
 			}
-			fmt.Printf("%-4s  %-28s  %-16s  %12.1f  %12.1f  %+7.1f%%\n", k.exp, k.config, k.column, b, l, delta)
+			fmt.Fprintf(w, "%-4s  %-28s  %-16s  %12.1f  %12.1f  %+7.1f%%\n", k.exp, k.config, k.column, b, l, delta)
 		}
 	}
-	_ = unit
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline report")
-	latestPath := flag.String("latest", "", "report to gate (required)")
-	maxPct := flag.Float64("max-regression-pct", 15, "fail when a throughput cell drops more than this percent below baseline (env BENCH_MAX_REGRESSION_PCT overrides)")
-	maxAllocPct := flag.Float64("max-alloc-regression-pct", 15, "fail when an allocs/op cell rises more than this percent (plus 1 alloc/op of slack) above baseline (env BENCH_MAX_ALLOC_REGRESSION_PCT overrides)")
-	deltas := flag.Bool("deltas", false, "print the full per-cell delta table, not just regressions")
-	flag.Parse()
-	pctEnv("BENCH_MAX_REGRESSION_PCT", maxPct)
-	pctEnv("BENCH_MAX_ALLOC_REGRESSION_PCT", maxAllocPct)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status: 0 pass, 1 a
+// regression, 2 the reports cannot be compared.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchcompare", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baselinePath := fs.String("baseline", "BENCH_baseline.json", "committed baseline report")
+	latestPath := fs.String("latest", "", "report to gate (required)")
+	maxPct := fs.Float64("max-regression-pct", 15, "fail when a throughput cell drops more than this percent below baseline (env BENCH_MAX_REGRESSION_PCT overrides)")
+	maxAllocPct := fs.Float64("max-alloc-regression-pct", 15, "fail when an allocs/op cell rises more than this percent (plus 1 alloc/op of slack) above baseline (env BENCH_MAX_ALLOC_REGRESSION_PCT overrides)")
+	deltas := fs.Bool("deltas", false, "print the full per-cell delta table, not just regressions")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := errors.Join(pctEnv("BENCH_MAX_REGRESSION_PCT", maxPct), pctEnv("BENCH_MAX_ALLOC_REGRESSION_PCT", maxAllocPct)); err != nil {
+		fmt.Fprintf(stderr, "benchcompare: %v\n", err)
+		return 2
+	}
 	if *latestPath == "" {
-		fmt.Fprintln(os.Stderr, "benchcompare: -latest required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchcompare: -latest required")
+		return 2
 	}
 	base, err := load(*baselinePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcompare: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchcompare: %v\n", err)
+		return 2
 	}
 	latest, err := load(*latestPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcompare: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchcompare: %v\n", err)
+		return 2
 	}
 	if base.GOMAXPROCS != latest.GOMAXPROCS {
-		fmt.Printf("warning: GOMAXPROCS differs (baseline %d, latest %d) — comparison is cross-machine\n",
-			base.GOMAXPROCS, latest.GOMAXPROCS)
+		fmt.Fprintf(stderr, "benchcompare: GOMAXPROCS differs (baseline %d, latest %d): a cross-machine-class comparison measures the machines, not the code; rerun with GOMAXPROCS=%d\n",
+			base.GOMAXPROCS, latest.GOMAXPROCS, base.GOMAXPROCS)
+		return 2
 	}
 	if base.Scale != latest.Scale {
-		fmt.Printf("warning: scale differs (baseline %g, latest %g)\n", base.Scale, latest.Scale)
+		fmt.Fprintf(stdout, "warning: scale differs (baseline %g, latest %g)\n", base.Scale, latest.Scale)
 	}
 
 	baseCells := throughputCells(base)
@@ -248,7 +264,7 @@ func main() {
 		delta := (l - b) / b * 100
 		if -delta > *maxPct {
 			failures++
-			fmt.Printf("REGRESSION %s / %q / %s / %s: %.0f -> %.0f ops/s (%.1f%%, limit -%.0f%%)\n",
+			fmt.Fprintf(stdout, "REGRESSION %s / %q / %s / %s: %.0f -> %.0f ops/s (%.1f%%, limit -%.0f%%)\n",
 				key.exp, key.table, key.config, key.column, b, l, delta, *maxPct)
 		}
 	}
@@ -274,7 +290,7 @@ func main() {
 		allocCompared++
 		if l > b*(1+*maxAllocPct/100)+1 {
 			allocFailures++
-			fmt.Printf("ALLOC REGRESSION %s / %q / %s / %s: %.1f -> %.1f allocs/op (limit +%.0f%% +1)\n",
+			fmt.Fprintf(stdout, "ALLOC REGRESSION %s / %q / %s / %s: %.1f -> %.1f allocs/op (limit +%.0f%% +1)\n",
 				key.exp, key.table, key.config, key.column, b, l, *maxAllocPct)
 		}
 	}
@@ -285,22 +301,23 @@ func main() {
 	}
 
 	if *deltas {
-		fmt.Println()
-		printDeltas("ops/s", baseCells, latestCells)
+		fmt.Fprintln(stdout)
+		printDeltas(stdout, baseCells, latestCells)
 		if len(baseAllocs)+len(latestAllocs) > 0 {
-			fmt.Println()
-			printDeltas("allocs/op", baseAllocs, latestAllocs)
+			fmt.Fprintln(stdout)
+			printDeltas(stdout, baseAllocs, latestAllocs)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	fmt.Printf("benchcompare: %d throughput cells compared (%d regressions beyond %.0f%%), %d alloc cells compared (%d regressions), %d baseline-only, %d new\n",
+	fmt.Fprintf(stdout, "benchcompare: %d throughput cells compared (%d regressions beyond %.0f%%), %d alloc cells compared (%d regressions), %d baseline-only, %d new\n",
 		compared, failures, *maxPct, allocCompared, allocFailures, onlyBase, onlyLatest)
 	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchcompare: no comparable throughput cells — wrong files?")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchcompare: no comparable throughput cells — wrong files?")
+		return 2
 	}
 	if failures+allocFailures > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -8,7 +8,7 @@
 //	            [-shards 8] [-k 16] [-compressors 1]
 //	            [-durable] [-dir /data/idx]
 //	            [-disk-native] [-cache-bytes 67108864]
-//	            [-coalesce 200us] [-max-batch 1024] [-max-inflight 1048576]
+//	            [-max-batch 1024] [-max-inflight 1048576]
 //	            [-follow primary:4640]
 //	            [-verified] [-verify-buckets 4096] [-root-every 1s]
 //
@@ -106,7 +106,6 @@ func main() {
 	dir := flag.String("dir", "", "durability directory (required with -durable)")
 	diskNative := flag.Bool("disk-native", false, "serve through a bounded buffer pool over per-shard page files (larger-than-RAM mode)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "with -disk-native: buffer pool budget per shard")
-	coalesce := flag.Duration("coalesce", 200*time.Microsecond, "pipelining coalesce window per poll")
 	maxBatch := flag.Int("max-batch", 1024, "max requests gathered per poll")
 	maxInflight := flag.Int("max-inflight", 1<<20, "per-connection in-flight request bytes (backpressure)")
 	ckptEvery := flag.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 = only on demand)")
@@ -151,7 +150,6 @@ func main() {
 	cfg := server.Config{
 		Addr:        *addr,
 		HTTPAddr:    *httpAddr,
-		Coalesce:    *coalesce,
 		MaxBatch:    *maxBatch,
 		MaxInflight: *maxInflight,
 		RootEvery:   *rootEvery,

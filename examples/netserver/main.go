@@ -66,8 +66,10 @@ func main() {
 	}
 
 	// 32 goroutines over one pool: the client multiplexes them onto
-	// pipelined bursts, the server coalesces each burst into one
-	// shard-parallel ApplyBatch (and one WAL group commit per shard).
+	// pipelined bursts, and each server poll executes whatever frames
+	// have arrived as one shard-parallel ApplyBatch (and one WAL group
+	// commit per shard). No timer: the batch is what queued up while
+	// the previous one ran.
 	var wg sync.WaitGroup
 	for w := 0; w < 32; w++ {
 		wg.Add(1)
@@ -84,7 +86,7 @@ func main() {
 	wg.Wait()
 	n, _ := c.Len(ctx)
 	fmt.Printf("after pipelined load: %d pairs\n", n)
-	fmt.Printf("server coalescing: %d requests in %d polls\n",
+	fmt.Printf("server batching: %d requests in %d polls\n",
 		s.Metrics.Requests.Load(), s.Metrics.Polls.Load())
 
 	// An explicit batch: one request frame, executed shard-parallel.

@@ -22,23 +22,25 @@ import (
 //     batches of d operations — the in-process ceiling.
 //   - net/pipelined: d concurrent goroutines issuing point Upserts
 //     through one pooled client. The client multiplexes them into
-//     pipelined bursts; the server coalesces each burst into one
-//     ApplyBatch. Depth is concurrency, not an API change — this is
-//     the shape a fleet of independent request handlers produces.
+//     pipelined bursts; each server poll executes the frames that
+//     have arrived as one ApplyBatch. Depth is concurrency, not an
+//     API change — this is the shape a fleet of independent request
+//     handlers produces.
 //   - net/batch: client.Batch frames of d operations — explicit wire
 //     batching, one request per d ops.
 //
 // The claim under test: at depth ≥ 64 the pipelined network
 // configuration lands within 5x of the in-process ApplyBatch ceiling,
-// because coalescing amortizes the per-request wire cost the same way
-// ApplyBatch amortizes routing and group commit amortizes fsync.
+// because self-clocked batching amortizes the per-request wire cost
+// the same way ApplyBatch amortizes routing and group commit
+// amortizes fsync.
 func E13NetPipeline(w io.Writer, s Scale) error {
 	tbl := &Table{
 		Title:   "E13: network vs in-process upsert throughput (ops/s) by pipeline depth",
 		Headers: []string{"config", "d=1", "d=16", "d=64", "d=256"},
 		Notes: []string{
 			"inproc/batch = Router.ApplyBatch of d ops; net/pipelined = d goroutines of",
-			"point Upserts through one pooled client (TCP loopback, coalescing server);",
+			"point Upserts through one pooled client (TCP loopback; each poll batches what has arrived, no timer);",
 			"net/batch = client.Batch frames of d ops. Same scattered keys everywhere.",
 		},
 	}

@@ -7,15 +7,19 @@
 // batching are the same shape. Clients pipeline requests — many
 // goroutines multiplexed onto one connection by the client package —
 // and the server's per-connection poll loop gathers every request
-// that arrives within a short coalescing window (Config.Coalesce,
-// default 200µs, bounded by Config.MaxBatch requests and
-// Config.MaxInflight bytes) into ONE shard.Router.ApplyBatch call.
-// ApplyBatch fans the group out shard-parallel, and on a durable
-// index each touched shard commits the whole group with a single WAL
-// fsync. So the deeper clients pipeline, the fewer descents, lock
-// acquisitions and fsyncs each operation costs — the same
-// amortization Sagiv's design applies to structure modification,
-// applied at the wire.
+// already buffered on the connection (bounded by Config.MaxBatch
+// requests and Config.MaxInflight bytes) into ONE
+// shard.Router.ApplyBatch call. Batching is self-clocked: a poll
+// executes as soon as the read buffer runs dry, with no timer, and
+// the requests that arrive while it executes form the next poll — the
+// way group commit forms a group from the appends that arrive during
+// the previous write. A serial caller pays no wait; under load, polls
+// grow by themselves. ApplyBatch fans the group out shard-parallel,
+// and on a durable index each touched shard commits the whole group
+// with a single WAL fsync. So the deeper clients pipeline, the fewer
+// descents, lock acquisitions and fsyncs each operation costs — the
+// same amortization Sagiv's design applies to structure
+// modification, applied at the wire.
 //
 // Request/response framing is id-matched: the server may complete
 // requests in any order, and a poll's responses are written with one

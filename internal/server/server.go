@@ -30,12 +30,6 @@ type Config struct {
 	// HTTPAddr, when non-empty, starts an HTTP listener serving
 	// /healthz and /metrics. ":0" works here too (Server.HTTPAddr).
 	HTTPAddr string
-	// Coalesce is how long a connection's poll loop waits for more
-	// pipelined requests after the first one before executing the
-	// gathered batch. Default 200µs. 0 keeps the default; use a
-	// negative value to disable waiting (each poll executes whatever
-	// is already buffered).
-	Coalesce time.Duration
 	// MaxBatch caps requests gathered per poll. Default 1024.
 	MaxBatch int
 	// MaxInflight is the per-connection backpressure bound: the poll
@@ -80,12 +74,6 @@ func (c *Config) fill() {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:4640"
 	}
-	if c.Coalesce == 0 {
-		c.Coalesce = 200 * time.Microsecond
-	}
-	if c.Coalesce < 0 {
-		c.Coalesce = 0
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
 	}
@@ -104,7 +92,7 @@ func (c *Config) fill() {
 
 // Metrics are the server's own counters, separate from the index's
 // per-shard routing metrics (shard.OpMetrics). Polls vs Requests is
-// the coalescing evidence: Requests/Polls is the mean number of
+// the batching evidence: Requests/Polls is the mean number of
 // pipelined requests each ApplyBatch absorbed.
 type Metrics struct {
 	Accepted  metrics.Counter // connections accepted
@@ -122,8 +110,8 @@ type Metrics struct {
 
 // Server serves the wire protocol over TCP on top of a shard.Router.
 // Each connection is handled by one goroutine running a poll loop:
-// block for the first pipelined request, keep reading until the
-// coalescing window closes (or MaxBatch/MaxInflight trip), execute the
+// block for the first pipelined request, keep reading while complete
+// frames are buffered (or until MaxBatch/MaxInflight trip), execute the
 // batchable operations as a single shard-parallel ApplyBatch — on a
 // durable index that is also one WAL group commit per touched shard —
 // then write all responses and flush once. Responses carry the
@@ -391,11 +379,6 @@ type connState struct {
 	// handshake, hands the connection to the migration ingest loop
 	// once the poll's responses are flushed.
 	ingestShard int
-	// skipWait disables the coalesce wait after a window expired dry
-	// (nothing more can arrive while callers await responses);
-	// pollSeq re-samples it every 32nd poll.
-	skipWait bool
-	pollSeq  int
 }
 
 // isCleanClose reports errors that are a normal end of connection: a
@@ -408,11 +391,18 @@ func isCleanClose(err error) bool {
 
 // gather reads one poll's worth of pipelined requests: block for the
 // first frame (waking every 500ms to notice drain/idle), then keep
-// decoding until the coalescing deadline passes with nothing buffered,
-// or MaxBatch / MaxInflight trip. Deadline expiry is only ever taken
-// on Peek — which never consumes — so a timeout cannot tear a frame.
+// decoding while the read buffer holds a complete frame header, or
+// until MaxBatch / MaxInflight trip. Deadline expiry is only ever
+// taken on Peek — which never consumes — so a timeout cannot tear a
+// frame.
+//
+// There is no timed wait. The poll executes as soon as the buffer runs
+// dry, and whatever arrives while it executes forms the next poll, the
+// way a WAL group forms from the appends that arrive during the
+// previous group's write. A serial caller is answered at once; a
+// pipelining client's callers refill the buffer while a poll runs, so
+// poll size follows the load by itself.
 func (s *Server) gather(c *connState) error {
-	c.pollSeq++
 	idleAt := time.Time{}
 	if s.cfg.IdleTimeout > 0 {
 		idleAt = time.Now().Add(s.cfg.IdleTimeout)
@@ -431,14 +421,12 @@ func (s *Server) gather(c *connState) error {
 			return err
 		}
 	}
-	now := time.Now()
-	deadline := now.Add(s.cfg.Coalesce)
 	// A frame is (at least partially) available: commit to reading it
 	// whole. One generous deadline covers every frame of the poll — a
 	// peer stalling mid-frame is a protocol violation and times out —
 	// so the hot buffered-frame path resets no deadlines at all.
-	c.nc.SetReadDeadline(now.Add(30 * time.Second))
-	bytes, caught := 0, 0
+	c.nc.SetReadDeadline(time.Now().Add(30 * time.Second))
+	bytes := 0
 	c.pool = c.pool[:0]
 	for {
 		id, op, payload, err := wire.ReadFrame(c.br, c.scratch)
@@ -466,52 +454,9 @@ func (s *Server) gather(c *connState) error {
 		}
 		bytes += len(payload) + 13
 		s.Metrics.BytesIn.Add(uint64(len(payload) + 13))
-		if len(c.reqs) >= s.cfg.MaxBatch || bytes >= s.cfg.MaxInflight || s.drain.Load() {
+		if len(c.reqs) >= s.cfg.MaxBatch || bytes >= s.cfg.MaxInflight || s.drain.Load() || c.br.Buffered() < 4 {
 			return nil
 		}
-		if c.br.Buffered() >= 4 {
-			continue // next frame already in the buffer
-		}
-		// Nothing else is buffered. A client's writer emits pipelined
-		// calls in single write bursts, so a drained buffer usually
-		// means the burst is over — and if every caller on this
-		// connection is now awaiting a response, no more frames can
-		// arrive until we answer. Waiting out the window then buys
-		// nothing and costs its full length, so once the poll already
-		// amortizes well, execute immediately; only small polls pay
-		// the wait to merge straggler bursts.
-		if len(c.reqs) >= 16 {
-			return nil
-		}
-		if time.Until(deadline) <= 0 {
-			return nil
-		}
-		// Adaptive: once every caller on this connection has its
-		// request in flight, no more frames can arrive until we
-		// answer — a window opened then expires empty and its full
-		// length is pure added latency. A dry window (nothing caught)
-		// therefore disables waiting, and every 32nd poll re-samples:
-		// if that window catches traffic, waiting is productive again.
-		// Serial request/response callers settle into (almost) never
-		// waiting; deep pipelines keep the window exactly while it
-		// keeps catching straggler bursts.
-		if c.skipWait && c.pollSeq%32 != 0 {
-			return nil
-		}
-		c.nc.SetReadDeadline(deadline)
-		_, err = c.br.Peek(4)
-		if err == nil {
-			// More arrived within the window; restore the full-frame
-			// deadline and keep gathering.
-			caught++
-			c.nc.SetReadDeadline(deadline.Add(30 * time.Second))
-			continue
-		}
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			c.skipWait = caught == 0 // dry window: don't pay again
-			return nil               // window closed; execute what we have
-		}
-		return err
 	}
 }
 

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"blinktree/internal/base"
 )
@@ -159,6 +162,9 @@ func (p *BufferPool) frameFor(id base.PageID) (*Frame, error) {
 	return fr, nil
 }
 
+// errExhausted reports a miss while every frame is pinned.
+var errExhausted = errors.New("storage: buffer pool exhausted")
+
 // evictIfFull writes back and drops least-recently-used unpinned
 // frames until a frame slot is free. Pinned frames are skipped: a pin
 // is the promise that someone is using the frame's bytes in place.
@@ -173,7 +179,7 @@ func (p *BufferPool) evictIfFull() error {
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned", p.capacity)
+			return fmt.Errorf("%w: all %d frames pinned", errExhausted, p.capacity)
 		}
 		fr := victim.Value.(*Frame)
 		// pins == 0 and we hold p.mu, so no latch holder exists and none
@@ -278,12 +284,30 @@ func (p *BufferPool) prefetcher() {
 	}
 }
 
+// pinCopy pins id for Read or Write. Those hold a pin only for one
+// page copy, so a pool whose frames are all pinned is most often full
+// of other copies whose goroutines are parked on p.mu, waiting to
+// unpin; it frees up as soon as they run. So a miss on a full pool
+// yields and retries for a short while before reporting exhaustion.
+// The bound keeps a pool pinned by long-lived holders (a caller that
+// already holds pins, say) an error rather than a hang.
+func (p *BufferPool) pinCopy(id base.PageID) (*Frame, error) {
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for {
+		fr, err := p.Pin(id)
+		if !errors.Is(err, errExhausted) || time.Now().After(deadline) {
+			return fr, err
+		}
+		runtime.Gosched()
+	}
+}
+
 // Read implements Store.
 func (p *BufferPool) Read(id base.PageID, buf []byte) error {
 	if err := checkBuf(p.under.PageSize(), buf); err != nil {
 		return err
 	}
-	fr, err := p.Pin(id)
+	fr, err := p.pinCopy(id)
 	if err != nil {
 		return err
 	}
@@ -301,7 +325,7 @@ func (p *BufferPool) Write(id base.PageID, buf []byte) error {
 	}
 	// The miss path faults the page in even though we overwrite it
 	// whole: the read validates that id is allocated underneath.
-	fr, err := p.Pin(id)
+	fr, err := p.pinCopy(id)
 	if err != nil {
 		return err
 	}

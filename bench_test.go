@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -912,4 +914,55 @@ func BenchmarkCoarseFloor(b *testing.B) {
 		}
 	}
 	benchMix(b, tr, 1<<17, workload.Balanced)
+}
+
+// parallelSearchPairs is the population of BenchmarkParallelSearch:
+// large enough that the working set sits far above L2, so the cost of
+// each node visit, not the loop around it, is what gets measured.
+const parallelSearchPairs = 2_000_000
+
+var (
+	parallelSearchOnce sync.Once
+	parallelSearchTree *Tree
+	parallelSearchErr  error
+)
+
+// BenchmarkParallelSearch: 100% Search over a 2M-pair bulk-loaded
+// default tree from every P. Searches take no locks (§2.2), so the
+// ns/op at -cpu 2 should be close to half that at -cpu 1; run it with
+// -cpu 1,2 to see the scaling. The tree is built once and shared by
+// every -cpu setting.
+func BenchmarkParallelSearch(b *testing.B) {
+	parallelSearchOnce.Do(func() {
+		tr, err := Open(Options{})
+		if err != nil {
+			parallelSearchErr = err
+			return
+		}
+		i := 0
+		parallelSearchErr = tr.BulkLoad(func() (Key, Value, bool) {
+			if i == parallelSearchPairs {
+				return 0, 0, false
+			}
+			i++
+			return Key(i - 1), Value(i - 1), true
+		}, 0)
+		parallelSearchTree = tr
+	})
+	if parallelSearchErr != nil {
+		b.Fatal(parallelSearchErr)
+	}
+	tr := parallelSearchTree
+	var seed atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewPCG(seed.Add(1), 0x9e3779b97f4a7c15))
+		for pb.Next() {
+			k := Key(rng.Uint64N(parallelSearchPairs))
+			if v, err := tr.Search(k); err != nil || v != Value(k) {
+				b.Errorf("Search(%d) = %d, %v", k, v, err)
+				return
+			}
+		}
+	})
 }

@@ -342,13 +342,13 @@ func (t *Tree) Compact() error { return t.eng.Compact() }
 func (t *Tree) DrainCompression() error { return t.eng.DrainCompression() }
 
 // CollectGarbage frees pages retired by compression that no live
-// operation can still reference (§5.3). Called automatically by
-// Compact; long-running background deployments should call it
-// periodically.
+// operation can still reference (§5.3). Compact calls it, and
+// background compression calls it whenever a small batch of retired
+// pages has built up, so a caller needs it only to empty limbo now.
 func (t *Tree) CollectGarbage() (int, error) { return t.eng.CollectGarbage() }
 
 // Check validates every structural invariant. Run it quiesced.
-func (t *Tree) Check() error { return t.eng.Tree.Check() }
+func (t *Tree) Check() error { return t.eng.Check() }
 
 // Checkpoint writes the tree's current state as a durable snapshot
 // and truncates the write-ahead log to the uncovered suffix, bounding

@@ -228,26 +228,6 @@ func main() {
 			}
 		}(w)
 	}
-	// Periodic garbage collection, as a long-running deployment would.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if _, err := tr.CollectGarbage(); err != nil {
-					failures.Add(1)
-					fmt.Fprintln(os.Stderr, "collect:", err)
-					return
-				}
-			}
-		}
-	}()
-
 	// Watchdog: ops must keep flowing; a stall means deadlock/livelock.
 	deadline := time.After(*dur)
 	lastOps := uint64(0)

@@ -22,7 +22,12 @@ import (
 //     (low, high] equals the separator interval its parent assigns;
 //  4. globally: leaf keys strictly ascend across the whole chain, and
 //     the pair count matches Len.
+//
+// The walk runs inside one reclamation epoch: it reads each page id
+// more than once, and no page it may reach can be freed meanwhile.
 func (t *Tree) Check() error {
+	g, withEpoch := t.enter()
+	defer t.exit(g, withEpoch)
 	p, err := t.store.ReadPrime()
 	if err != nil {
 		return err
@@ -188,7 +193,10 @@ type Occupancy struct {
 }
 
 // OccupancyStats walks the quiesced tree and reports fill statistics.
+// Like Check it walks inside one reclamation epoch.
 func (t *Tree) OccupancyStats() (Occupancy, error) {
+	g, withEpoch := t.enter()
+	defer t.exit(g, withEpoch)
 	p, err := t.store.ReadPrime()
 	if err != nil {
 		return Occupancy{}, err

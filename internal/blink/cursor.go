@@ -13,11 +13,20 @@ import (
 // come back strictly ascending, each at-most-once, and concurrent
 // insertions or deletions may or may not be observed.
 //
+// A Next that reads pages runs inside its own reclamation epoch, so an
+// idle cursor never holds back page reclamation; a Next served from the
+// current leaf snapshot reads no page and enters no epoch. The price is
+// that a leaf snapshot from an earlier Next may link to a page freed
+// since, so the cursor follows a leaf's link only while no Collect has
+// run since the leaf was read, and otherwise re-seeks from the next
+// key.
+//
 // A Cursor is not safe for concurrent use by multiple goroutines.
 type Cursor struct {
-	t    *Tree
-	leaf *node.Node
-	idx  int
+	t     *Tree
+	leaf  *node.Node
+	epoch uint64 // epoch of the Next that read leaf
+	idx   int
 	// next is the smallest key not yet returned; it makes sibling hops
 	// and restarts idempotent.
 	next    base.Key
@@ -40,8 +49,17 @@ func (c *Cursor) Next() (base.Key, base.Value, bool) {
 	if c.done || c.err != nil {
 		return 0, 0, false
 	}
+	if c.leaf != nil {
+		if k, v, ok := c.take(); ok {
+			return k, v, true
+		}
+	}
+	g, withEpoch := c.t.enter()
+	defer c.t.exit(g, withEpoch)
+	fresh := g.Epoch() == c.epoch
+	c.epoch = g.Epoch()
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		k, v, ok, err := c.step()
+		k, v, ok, err := c.step(fresh)
 		if err == nil {
 			if !ok {
 				c.done = true
@@ -60,27 +78,38 @@ func (c *Cursor) Next() (base.Key, base.Value, bool) {
 	return 0, 0, false
 }
 
-// step yields the next pair ≥ c.next, seeking when unpositioned.
-func (c *Cursor) step() (base.Key, base.Value, bool, error) {
+// take returns the next pair ≥ c.next left in the current leaf
+// snapshot.
+func (c *Cursor) take() (base.Key, base.Value, bool) {
+	for c.idx < len(c.leaf.Keys) {
+		i := c.idx
+		c.idx++
+		k := c.leaf.Keys[i]
+		if k < c.next {
+			continue
+		}
+		if k == base.Key(^uint64(0)) {
+			c.done = true // maximum key: nothing can follow
+		} else {
+			c.next = k + 1
+		}
+		return k, c.leaf.Vals[i], true
+	}
+	return 0, 0, false
+}
+
+// step yields the next pair ≥ c.next, seeking when unpositioned. fresh
+// reports whether the current leaf was read in the caller's epoch; only
+// then may its link be followed.
+func (c *Cursor) step(fresh bool) (base.Key, base.Value, bool, error) {
 	if c.leaf == nil {
 		if err := c.seek(); err != nil {
 			return 0, 0, false, err
 		}
+		fresh = true
 	}
 	for {
-		for c.idx < len(c.leaf.Keys) {
-			i := c.idx
-			c.idx++
-			k := c.leaf.Keys[i]
-			if k < c.next {
-				continue
-			}
-			v := c.leaf.Vals[i]
-			if k == base.Key(^uint64(0)) {
-				c.done = true // maximum key: nothing can follow
-			} else {
-				c.next = k + 1
-			}
+		if k, v, ok := c.take(); ok {
 			return k, v, true, nil
 		}
 		// Advance past this leaf's range so later redistributions
@@ -90,6 +119,15 @@ func (c *Cursor) step() (base.Key, base.Value, bool, error) {
 		}
 		if c.leaf.High.K >= c.next {
 			c.next = c.leaf.High.K + 1
+		}
+		if !fresh {
+			// The link was read in an earlier epoch and may name a
+			// page freed and reused since.
+			if err := c.seek(); err != nil {
+				return 0, 0, false, err
+			}
+			fresh = true
+			continue
 		}
 		n, err := c.t.step(c.leaf.Link, c.next)
 		if err != nil {

@@ -16,7 +16,10 @@ import (
 // one link read, which is the honest price of reverse order on this
 // structure.
 //
-// Like the forward Cursor it holds no locks and reads leaf snapshots:
+// Like the forward Cursor it holds no locks, runs each Next that reads
+// pages in a reclamation epoch, and reads leaf snapshots (it never
+// follows a page id out of one, so a snapshot from an earlier Next
+// stays safe to use):
 // keys come back strictly descending, each at most once, and concurrent
 // mutations may or may not be observed. Not safe for concurrent use by
 // multiple goroutines.
@@ -46,6 +49,13 @@ func (c *ReverseCursor) Next() (base.Key, base.Value, bool) {
 	if c.done || c.err != nil {
 		return 0, 0, false
 	}
+	if c.leaf != nil {
+		if k, v, ok := c.take(); ok {
+			return k, v, true
+		}
+	}
+	g, withEpoch := c.t.enter()
+	defer c.t.exit(g, withEpoch)
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		k, v, ok, err := c.step()
 		if err == nil {
@@ -74,22 +84,7 @@ func (c *ReverseCursor) step() (base.Key, base.Value, bool, error) {
 		}
 	}
 	for {
-		for c.idx >= 0 {
-			i := c.idx
-			c.idx--
-			if i >= len(c.leaf.Keys) {
-				continue // leaf snapshot shorter than expected
-			}
-			k := c.leaf.Keys[i]
-			if k > c.next {
-				continue
-			}
-			v := c.leaf.Vals[i]
-			if k == 0 {
-				c.done = true // minimum key: nothing can precede it
-			} else {
-				c.next = k - 1
-			}
+		if k, v, ok := c.take(); ok {
 			return k, v, true, nil
 		}
 		// Leaf exhausted. Its low value is the inclusive top of the
@@ -105,6 +100,29 @@ func (c *ReverseCursor) step() (base.Key, base.Value, bool, error) {
 			return 0, 0, false, err
 		}
 	}
+}
+
+// take returns the next pair ≤ c.next left in the current leaf
+// snapshot, scanning down from the top.
+func (c *ReverseCursor) take() (base.Key, base.Value, bool) {
+	for c.idx >= 0 {
+		i := c.idx
+		c.idx--
+		if i >= len(c.leaf.Keys) {
+			continue // leaf snapshot shorter than expected
+		}
+		k := c.leaf.Keys[i]
+		if k > c.next {
+			continue
+		}
+		if k == 0 {
+			c.done = true // minimum key: nothing can precede it
+		} else {
+			c.next = k - 1
+		}
+		return k, c.leaf.Vals[i], true
+	}
+	return 0, 0, false
 }
 
 // seek positions the cursor at the leaf covering c.next, scanning from

@@ -4,19 +4,23 @@ import (
 	"sync/atomic"
 
 	"blinktree/internal/locks"
+	"blinktree/internal/stripe"
 )
 
 // Stats holds the tree's operation counters. All fields are updated
 // atomically; Snapshot returns a consistent-enough copy for reporting.
+// The per-operation counters are striped by processor, so bumping them
+// writes no cache line another core is writing; the rest count slow
+// paths and stay plain atomics.
 type Stats struct {
-	searches atomic.Uint64
-	inserts  atomic.Uint64
-	deletes  atomic.Uint64
-	scans    atomic.Uint64
+	searches stripe.Counter
+	inserts  stripe.Counter
+	deletes  stripe.Counter
+	scans    stripe.Counter
 
-	upserts atomic.Uint64 // Upsert + GetOrInsert
-	updates atomic.Uint64 // Update
-	cas     atomic.Uint64 // CompareAndSwap + CompareAndDelete attempts
+	upserts stripe.Counter // Upsert + GetOrInsert
+	updates stripe.Counter // Update
+	cas     stripe.Counter // CompareAndSwap + CompareAndDelete attempts
 
 	splits     atomic.Uint64 // node splits, including root splits
 	rootSplits atomic.Uint64 // new roots created
@@ -83,13 +87,13 @@ func (t *Tree) Stats() StatsSnapshot {
 
 // ResetStats zeroes every counter.
 func (t *Tree) ResetStats() {
-	t.stats.searches.Store(0)
-	t.stats.inserts.Store(0)
-	t.stats.deletes.Store(0)
-	t.stats.scans.Store(0)
-	t.stats.upserts.Store(0)
-	t.stats.updates.Store(0)
-	t.stats.cas.Store(0)
+	t.stats.searches.Reset()
+	t.stats.inserts.Reset()
+	t.stats.deletes.Reset()
+	t.stats.scans.Reset()
+	t.stats.upserts.Reset()
+	t.stats.updates.Reset()
+	t.stats.cas.Reset()
 	t.stats.splits.Store(0)
 	t.stats.rootSplits.Store(0)
 	t.stats.linkHops.Store(0)

@@ -22,7 +22,8 @@
 //     exact pattern whose deadlock-freedom Theorem 2 proves; emptied
 //     nodes keep a forwarding "outlink" so overtaken readers recover,
 //     and retired pages go to the reclaimer's limbo (§5.3) until no
-//     live operation can reference them.
+//     live operation can reference them. Background workers free
+//     limbo themselves once a small batch has built up.
 //
 // In the sharded front-end (internal/shard), each shard owns a private
 // Queue and Compressor, so compression traffic never crosses shard

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,7 +73,16 @@ func (c *Compressor) Attach(tr *blink.Tree) {
 	})
 }
 
-// Start launches n background workers that block on the queue.
+// collectBatch is how many retired pages background workers let build
+// up in limbo before they run a Collect: enough to amortize its scan of
+// the epoch slots, few enough that limbo stays a rounding error.
+const collectBatch = 64
+
+// Start launches n background workers that block on the queue. After
+// each compression a worker frees retired pages once collectBatch of
+// them wait in limbo (§5.3: a page is released once every operation
+// older than its deletion has finished), so a long-running tree needs
+// no caller to collect garbage.
 func (c *Compressor) Start(n int) {
 	for i := 0; i < n; i++ {
 		c.wg.Add(1)
@@ -85,6 +95,7 @@ func (c *Compressor) Start(n int) {
 				}
 				c.gate.RLock()
 				_ = c.compressOne(ev) // errors are counted, not fatal
+				c.collectIfDue()
 				c.gate.RUnlock()
 			}
 		}()
@@ -156,17 +167,21 @@ func (c *Compressor) compressOne(ev blink.UnderfullEvent) error {
 		// appear but not adjacent" subcase (§5.4 footnote 14).
 		h.Unlock(f.ID)
 		cur, err := c.st.Get(ev.ID)
-		if err != nil {
+		if errors.Is(err, base.ErrClosed) {
 			return err
 		}
-		if cur.Deleted || !cur.High.Equal(ev.High) {
-			// A was split or compressed since it was queued: whoever
-			// changed it requeued it if it still needs work; discard.
+		if err != nil || cur.Deleted || !cur.High.Equal(ev.High) {
+			// A was split, compressed or even freed since it was
+			// queued: whoever changed it requeued it if it still needs
+			// work; discard.
 			c.stats.Discards.Add(1)
 			return nil
 		}
 		// High unchanged but the pointer is missing: the separator
-		// insertion is still in flight; reconsider later.
+		// insertion is still in flight; reconsider later. F may have
+		// come from a stacked page that was freed and reused, so the
+		// next attempt finds the parent from the root.
+		ev.Stack = nil
 		c.requeue(ev)
 		return nil
 	}
@@ -337,6 +352,19 @@ func (c *Compressor) requeue(ev blink.UnderfullEvent) {
 	c.queue.Offer(ev, false)
 }
 
+// collectIfDue runs a Collect when collectBatch pages wait in limbo. A
+// background worker calls it outside any epoch of its own, so its own
+// work never holds a page back.
+func (c *Compressor) collectIfDue() {
+	if c.rec == nil || c.rec.Stats().Limbo < collectBatch {
+		return
+	}
+	// A free error means the allocator refused a page it handed out;
+	// the page stays unusable either way, and the worker must go on
+	// compressing, so like compression errors it is not fatal.
+	_, _ = c.rec.Collect()
+}
+
 // CollectGarbage frees retired pages that no live operation can still
 // reference. It is a no-op without a reclaimer.
 func (c *Compressor) CollectGarbage() (int, error) {
@@ -363,7 +391,8 @@ func (c *Compressor) locateParent(h *locks.Holder, ev blink.UnderfullEvent) (*no
 			return nil, false, nil // whole parent level is gone
 		}
 		var cur base.PageID
-		if attempt == 0 && len(ev.Stack) > 0 {
+		fromStack := attempt == 0 && len(ev.Stack) > 0
+		if fromStack {
 			cur = ev.Stack[len(ev.Stack)-1]
 		} else {
 			cur, err = c.descendToLevelBound(p, v, target)
@@ -375,13 +404,14 @@ func (c *Compressor) locateParent(h *locks.Holder, ev blink.UnderfullEvent) (*no
 			}
 		}
 		f, ok, err := c.chaseAndLock(h, cur, v)
-		if err != nil {
+		if err != nil && !fromStack {
 			return nil, false, err
 		}
-		if ok {
+		if err == nil && ok {
 			return f, true, nil
 		}
-		// Stale entry point; retry from the root.
+		// Stale entry point (a stacked page may even have been freed
+		// since A was queued); retry from the root.
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"blinktree/internal/base"
+	"blinktree/internal/stripe"
 )
 
 // Holder wraps a Locker on behalf of one logical operation and accounts
@@ -101,12 +102,14 @@ func (h *Holder) MaxHeld() int { return h.maxHeld }
 func (h *Holder) Locks() int { return h.locks }
 
 // FootprintStats aggregates Holder observations across operations. All
-// methods are safe for concurrent use.
+// methods are safe for concurrent use. Every update records one, so
+// the sums are striped by processor and the high-water mark is written
+// only when it rises.
 type FootprintStats struct {
-	ops      atomic.Uint64
-	acquires atomic.Uint64
-	maxHeld  atomic.Uint64 // high-water across all operations
-	sumMax   atomic.Uint64 // sum of per-op maxima, for the mean
+	ops      stripe.Counter
+	acquires stripe.Counter
+	sumMax   stripe.Counter // sum of per-op maxima, for the mean
+	maxHeld  atomic.Uint64  // high-water across all operations
 }
 
 // Record folds one finished operation's Holder into the stats.
@@ -156,8 +159,8 @@ func (s *FootprintStats) Snapshot() Footprint {
 
 // Reset zeroes the aggregate.
 func (s *FootprintStats) Reset() {
-	s.ops.Store(0)
-	s.acquires.Store(0)
+	s.ops.Reset()
+	s.acquires.Reset()
+	s.sumMax.Reset()
 	s.maxHeld.Store(0)
-	s.sumMax.Store(0)
 }

@@ -257,3 +257,41 @@ func TestDetectorFindsCycle(t *testing.T) {
 	// are deliberately abandoned (process exit reaps them). This is the
 	// one test that must create a real cycle to validate the oracle.
 }
+
+// TestTableGrowsUnderConcurrentLocking: goroutines lock ever larger
+// page ids, growing the table across many chunk boundaries, while
+// others keep locking a small set of low pages. Run it under -race:
+// each page's lock must still exclude, so the guarded counters end
+// exact.
+func TestTableGrowsUnderConcurrentLocking(t *testing.T) {
+	tab := NewTable()
+	const hot = 8
+	var counts [hot]int
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if w%2 == 0 {
+					id := base.PageID(1 + i%hot)
+					tab.Lock(id)
+					counts[id-1]++
+					tab.Unlock(id)
+				} else {
+					id := base.PageID(1 + w*5000 + i*3)
+					tab.Lock(id)
+					tab.Unlock(id)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total != 2*2000 {
+		t.Fatalf("guarded increments = %d, want %d", total, 2*2000)
+	}
+}

@@ -47,8 +47,6 @@ type PagedStore struct {
 	// overwrite a newer write.
 	primeMu    sync.Mutex
 	primeCache atomic.Pointer[Prime]
-
-	gets, puts atomic.Uint64
 }
 
 // NewPagedStore initializes a paged node store on under, allocating and
@@ -81,7 +79,6 @@ func (s *PagedStore) Get(id base.PageID) (*Node, error) {
 	if s.closed.Load() {
 		return nil, base.ErrClosed
 	}
-	s.gets.Add(1)
 	if s.pool != nil {
 		return s.getPooled(id)
 	}
@@ -120,7 +117,6 @@ func (s *PagedStore) Put(n *Node) error {
 	if s.closed.Load() {
 		return base.ErrClosed
 	}
-	s.puts.Add(1)
 	if s.pool != nil {
 		fr, err := s.pool.Pin(n.ID)
 		if err != nil {
@@ -223,9 +219,4 @@ func (s *PagedStore) Close() error {
 		return nil
 	}
 	return s.under.Close()
-}
-
-// Ops returns the lifetime get and put counts.
-func (s *PagedStore) Ops() (gets, puts uint64) {
-	return s.gets.Load(), s.puts.Load()
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"blinktree/internal/base"
+	"blinktree/internal/pagedir"
 )
 
 // Store provides the paper's get/put model over Nodes (§2.2): Get and
@@ -37,19 +38,24 @@ type Store interface {
 // MemStore keeps node snapshots in memory behind atomic pointers. It is
 // the fastest substrate and the reference implementation of the
 // indivisibility contract: Put is a single pointer swap.
+//
+// Pages live in a pagedir.Dir, so Get is one atomic load of the
+// directory plus one of the page's slot: no lock and no shared write,
+// which is what lets lock-free searches scale with cores. A slot holds
+// nil while its page is unallocated and the unwritten sentinel between
+// Allocate and the first Put.
 type MemStore struct {
-	mu     sync.RWMutex // guards growth of slots
-	slots  []*slot
+	dir    pagedir.Dir[Node]
+	mu     sync.Mutex // serializes Allocate and Free
+	next   base.PageID
 	free   []base.PageID
+	pages  int
 	prime  atomic.Pointer[Prime]
 	closed atomic.Bool
-
-	gets, puts atomic.Uint64
 }
 
-type slot struct {
-	n atomic.Pointer[Node] // nil when the page is unallocated
-}
+// unwritten marks an allocated page that has never been Put.
+var unwritten = &Node{}
 
 // NewMemStore returns an empty in-memory node store with an empty prime
 // block (no root).
@@ -59,14 +65,8 @@ func NewMemStore() *MemStore {
 	return s
 }
 
-func (s *MemStore) slotFor(id base.PageID) (*slot, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i := int(id)
-	if i <= 0 || i > len(s.slots) || s.slots[i-1] == nil {
-		return nil, fmt.Errorf("%w: page %d unallocated", base.ErrCorrupt, id)
-	}
-	return s.slots[i-1], nil
+func unallocated(id base.PageID) error {
+	return fmt.Errorf("%w: page %d unallocated", base.ErrCorrupt, id)
 }
 
 // Get implements Store.
@@ -74,19 +74,22 @@ func (s *MemStore) Get(id base.PageID) (*Node, error) {
 	if s.closed.Load() {
 		return nil, base.ErrClosed
 	}
-	sl, err := s.slotFor(id)
-	if err != nil {
-		return nil, err
+	var n *Node
+	if sl := s.dir.Slot(id); sl != nil {
+		n = sl.Load()
 	}
-	s.gets.Add(1)
-	n := sl.n.Load()
-	if n == nil {
+	switch n {
+	case nil:
+		return nil, unallocated(id)
+	case unwritten:
 		return nil, fmt.Errorf("%w: page %d never written", base.ErrCorrupt, id)
 	}
 	return n, nil
 }
 
-// Put implements Store.
+// Put implements Store. The swap is a compare-and-swap against the
+// image it replaces, so a Put racing a Free of the same page either
+// lands before the Free or is refused.
 func (s *MemStore) Put(n *Node) error {
 	if s.closed.Load() {
 		return base.ErrClosed
@@ -94,13 +97,19 @@ func (s *MemStore) Put(n *Node) error {
 	if n.ID == base.NilPage {
 		return fmt.Errorf("%w: Put of node with nil id", base.ErrCorrupt)
 	}
-	sl, err := s.slotFor(n.ID)
-	if err != nil {
-		return err
+	sl := s.dir.Slot(n.ID)
+	if sl == nil {
+		return unallocated(n.ID)
 	}
-	s.puts.Add(1)
-	sl.n.Store(n)
-	return nil
+	for {
+		cur := sl.Load()
+		if cur == nil {
+			return unallocated(n.ID)
+		}
+		if sl.CompareAndSwap(cur, n) {
+			return nil
+		}
+	}
 }
 
 // Allocate implements Store.
@@ -110,14 +119,17 @@ func (s *MemStore) Allocate() (base.PageID, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var id base.PageID
 	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
+		id = s.free[n-1]
 		s.free = s.free[:n-1]
-		s.slots[id-1] = &slot{}
-		return id, nil
+	} else {
+		s.next++
+		id = s.next
 	}
-	s.slots = append(s.slots, &slot{})
-	return base.PageID(len(s.slots)), nil
+	s.dir.Grow(id).Store(unwritten)
+	s.pages++
+	return id, nil
 }
 
 // Free implements Store.
@@ -127,12 +139,13 @@ func (s *MemStore) Free(id base.PageID) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := int(id)
-	if i <= 0 || i > len(s.slots) || s.slots[i-1] == nil {
+	sl := s.dir.Slot(id)
+	if id == base.NilPage || sl == nil || sl.Load() == nil {
 		return fmt.Errorf("%w: Free of unallocated page %d", base.ErrCorrupt, id)
 	}
-	s.slots[i-1] = nil
+	sl.Store(nil)
 	s.free = append(s.free, id)
+	s.pages--
 	return nil
 }
 
@@ -156,25 +169,13 @@ func (s *MemStore) WritePrime(p Prime) error {
 
 // Pages implements Store.
 func (s *MemStore) Pages() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, sl := range s.slots {
-		if sl != nil {
-			n++
-		}
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pages
 }
 
 // Close implements Store.
 func (s *MemStore) Close() error {
 	s.closed.Store(true)
 	return nil
-}
-
-// Ops returns the lifetime get and put counts, the paper's physical-
-// operation counts.
-func (s *MemStore) Ops() (gets, puts uint64) {
-	return s.gets.Load(), s.puts.Load()
 }

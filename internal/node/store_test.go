@@ -3,9 +3,11 @@ package node
 import (
 	"bytes"
 	"math"
+	"math/rand/v2"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -369,5 +371,95 @@ func TestCodecExtremeKeys(t *testing.T) {
 	}
 	if !bytes.Equal(buf[0:4], []byte("BLNK")) {
 		t.Fatal("magic missing")
+	}
+}
+
+// TestMemStoreRefusesStaleAccess: Get of a page allocated but never
+// written, and Put after Free, both fail rather than succeed silently.
+func TestMemStoreRefusesStaleAccess(t *testing.T) {
+	s := NewMemStore()
+	defer s.Close()
+	id, _ := s.Allocate()
+	if _, err := s.Get(id); err == nil {
+		t.Fatal("Get of a never-written page succeeded")
+	}
+	if err := s.Put(leafWith(id, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(leafWith(id, 2)); err == nil {
+		t.Fatal("Put after Free succeeded")
+	}
+	if _, err := s.Get(id); err == nil {
+		t.Fatal("Get after Free succeeded")
+	}
+	if err := s.Free(id); err == nil {
+		t.Fatal("double Free succeeded")
+	}
+}
+
+// TestMemStoreGrowsUnderConcurrentAccess grows the page directory
+// across many chunk boundaries while other goroutines Get and Put the
+// pages allocated so far. Run it under -race: every Get below the
+// published frontier must find a written page with its own id.
+func TestMemStoreGrowsUnderConcurrentAccess(t *testing.T) {
+	s := NewMemStore()
+	defer s.Close()
+	const pages = 5000     // about 20 chunks
+	var high atomic.Uint64 // ids [1, high] are allocated and written
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 7))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h := high.Load()
+				if h == 0 {
+					continue
+				}
+				id := base.PageID(1 + rng.Uint64N(h))
+				n, err := s.Get(id)
+				if err != nil {
+					t.Errorf("Get(%d) below the frontier %d: %v", id, h, err)
+					return
+				}
+				if n.ID != id {
+					t.Errorf("Get(%d) returned page %d", id, n.ID)
+					return
+				}
+				// Each reader rewrites only the pages with id ≡ w
+				// (mod 3), so no page has two writers once published.
+				if uint64(id)%3 == uint64(w) {
+					if err := s.Put(leafWith(id, i)); err != nil {
+						t.Errorf("Put(%d): %v", id, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < pages; i++ {
+		id, err := s.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(leafWith(id, 0)); err != nil {
+			t.Fatal(err)
+		}
+		high.Store(uint64(id))
+	}
+	close(stop)
+	wg.Wait()
+	if got := s.Pages(); got != pages {
+		t.Fatalf("Pages() = %d, want %d", got, pages)
 	}
 }

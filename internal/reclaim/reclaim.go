@@ -17,16 +17,21 @@ package reclaim
 
 import (
 	"math"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
 	"blinktree/internal/base"
+	"blinktree/internal/stripe"
 )
 
 // slots is the number of striped activity slots. More slots than
 // expected concurrent operations keeps Enter wait-free in practice.
 const slots = 128
+
+// homeSpacing separates the home slots of consecutive Ps (16 Ps before
+// homes wrap), leaving room to probe past a slot held by a goroutine
+// that was descheduled mid-operation.
+const homeSpacing = 8
 
 // FreeFunc returns a page to the allocator.
 type FreeFunc func(base.PageID) error
@@ -64,30 +69,45 @@ func New(free FreeFunc) *Reclaimer {
 
 // Guard is an open Enter bracket. The zero Guard is invalid.
 type Guard struct {
-	slot int
+	slot  int
+	epoch uint64
 }
+
+// Epoch returns the epoch the bracket entered at. Two brackets with the
+// same epoch saw no Collect start between their Enters, so a page id
+// read in the earlier one has not been freed since.
+func (g Guard) Epoch() uint64 { return g.epoch }
 
 // Enter marks the start of a logical operation and returns its Guard.
 // Every Enter must be paired with exactly one Exit.
 //
 // Slot choice matters on the hot path: Enter brackets every read as
-// well as every write, and an earlier version assigned slots from a
-// shared atomic cursor — a read-modify-write on one cache line that
-// every concurrent operation fought over. The cursor is gone: each
-// Enter starts at a slot drawn from the runtime's per-thread random
-// state (rand.Uint64 takes no locks and touches no shared memory) and
-// probes linearly from there, so the only shared write left is the CAS
-// that claims a free slot, almost always uncontended with 128 slots.
+// well as every write. Each P has a home slot, spaced so neighbouring
+// Ps' homes sit several slots apart, and Enter probes linearly from
+// the caller's home; a slot is then almost always claimed and released
+// by one core, and its cache line stays there.
+//
+// After claiming a slot Enter re-reads the epoch and retries if a
+// Collect advanced it meanwhile. Without that re-check a Collect could
+// scan the slots between the epoch load and the claim, miss this
+// operation, and free a page it is about to reach.
 func (r *Reclaimer) Enter() Guard {
-	e := r.epoch.Load()
-	i := int(rand.Uint64() % slots)
+	i := stripe.Proc() * homeSpacing % slots
 	for {
-		if r.slot[i].epoch.CompareAndSwap(0, e) {
-			return Guard{slot: i + 1}
+		e := r.epoch.Load()
+		if !r.slot[i].epoch.CompareAndSwap(0, e) {
+			if i++; i == slots {
+				i = 0
+			}
+			continue
 		}
-		i++
-		if i == slots {
-			i = 0
+		for {
+			cur := r.epoch.Load()
+			if cur == e {
+				return Guard{slot: i + 1, epoch: e}
+			}
+			e = cur
+			r.slot[i].epoch.Store(e)
 		}
 	}
 }
@@ -123,11 +143,15 @@ func (r *Reclaimer) minActive() uint64 {
 }
 
 // Collect advances the epoch and frees every limbo page retired before
-// the oldest live operation entered. It returns the number of pages
+// the oldest live operation entered and before this Collect began, so a
+// page retired while the slots were being scanned waits for the next
+// Collect (Guard.Epoch relies on that). It returns the number of pages
 // freed and the first free error encountered, if any.
 func (r *Reclaimer) Collect() (int, error) {
-	r.epoch.Add(1)
-	min := r.minActive()
+	min := r.epoch.Add(1)
+	if a := r.minActive(); a < min {
+		min = a
+	}
 
 	r.mu.Lock()
 	var keep, release []retired

@@ -165,3 +165,25 @@ func TestSlotExhaustionDoesNotDeadlock(t *testing.T) {
 	g := r.Enter()
 	r.Exit(g)
 }
+
+// TestGuardEpochChangesOnlyWithCollect: brackets entered with no
+// Collect in between share an epoch, so a page id read in the first is
+// still safe in the second; a Collect in between changes the epoch.
+func TestGuardEpochChangesOnlyWithCollect(t *testing.T) {
+	r := New((&recorder{}).free)
+	g1 := r.Enter()
+	r.Exit(g1)
+	g2 := r.Enter()
+	r.Exit(g2)
+	if g1.Epoch() != g2.Epoch() {
+		t.Fatalf("epochs %d and %d differ with no Collect between", g1.Epoch(), g2.Epoch())
+	}
+	if _, err := r.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	g3 := r.Enter()
+	r.Exit(g3)
+	if g3.Epoch() == g2.Epoch() {
+		t.Fatal("epoch unchanged across a Collect")
+	}
+}

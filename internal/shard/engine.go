@@ -27,8 +27,8 @@ type CompressionMode int
 // Compression modes.
 const (
 	// CompressionBackground runs worker goroutines that drain the
-	// underfull queue concurrently with other operations (§5.4). The
-	// default.
+	// underfull queue concurrently with other operations (§5.4) and
+	// free the pages they retire (§5.3). The default.
 	CompressionBackground CompressionMode = iota
 	// CompressionManual enqueues underfull nodes but compresses only
 	// when Compact or DrainCompression is called.
@@ -620,6 +620,19 @@ func (e *Engine) DrainCompression() error {
 // CollectGarbage frees pages retired by compression that no live
 // operation can still reference (§5.3).
 func (e *Engine) CollectGarbage() (int, error) { return e.rec.Collect() }
+
+// Check validates the tree's structural invariants. It pauses
+// background compression, so no rearrangement is in flight while the
+// levels are compared, and the tree walks inside a reclamation epoch,
+// so no page it reaches is freed under it. Mutators must still be
+// quiesced.
+func (e *Engine) Check() error {
+	if e.comp != nil && e.mode == CompressionBackground {
+		e.comp.Pause()
+		defer e.comp.Resume()
+	}
+	return e.Tree.Check()
+}
 
 // QueueDepth reports pending underfull-queue entries (0 when
 // compression is off).

@@ -377,7 +377,7 @@ func (r *Router) CrashWAL(partial int) {
 // Check validates every shard's structural invariants. Run it quiesced.
 func (r *Router) Check() error {
 	for i, e := range r.engines {
-		if err := e.Tree.Check(); err != nil {
+		if err := e.Check(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// Facade-level coverage for the PR-2 API generation: conditional
-// writes and range-over-func iteration on both front-ends, exercised
-// through the shared Index interface so the two can never drift.
+// Facade-level coverage of conditional writes and range-over-func
+// iteration, on one shard and on four so routing and shard stitching
+// can never change an answer.
 
-// buildBoth returns a single tree and a sharded index preloaded with
-// the same random population, plus the sorted key list.
-func buildBoth(t *testing.T, n int) (Index, Index, []Key) {
+// buildBoth returns a one-shard tree and a four-shard tree preloaded
+// with the same random population, plus the sorted key list.
+func buildBoth(t *testing.T, n int) (*Tree, *Tree, []Key) {
 	t.Helper()
 	tree := NewTree()
 	shrd := NewSharded(4)
@@ -28,7 +28,7 @@ func buildBoth(t *testing.T, n int) (Index, Index, []Key) {
 		}
 		seen[k] = true
 		keys = append(keys, k)
-		for _, idx := range []Index{tree, shrd} {
+		for _, idx := range []*Tree{tree, shrd} {
 			if err := idx.Insert(k, Value(k)%1000); err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func buildBoth(t *testing.T, n int) (Index, Index, []Key) {
 
 func TestConditionalWritesBothFrontEnds(t *testing.T) {
 	tree, shrd, keys := buildBoth(t, 500)
-	for name, idx := range map[string]Index{"tree": tree, "sharded": shrd} {
+	for name, idx := range map[string]*Tree{"tree": tree, "sharded": shrd} {
 		t.Run(name, func(t *testing.T) {
 			k := keys[17]
 			old, existed, err := idx.Upsert(k, 5000)
@@ -79,11 +79,11 @@ func TestConditionalWritesBothFrontEnds(t *testing.T) {
 
 // TestIterationMatchesRangeBothFrontEnds is the acceptance criterion:
 // All/Ascend agree exactly with callback Range, and Descend is its
-// exact reversal, on both front-ends, over random windows.
+// exact reversal, on one shard and on four, over random windows.
 func TestIterationMatchesRangeBothFrontEnds(t *testing.T) {
 	tree, shrd, keys := buildBoth(t, 2000)
 	rng := rand.New(rand.NewSource(5))
-	for name, idx := range map[string]Index{"tree": tree, "sharded": shrd} {
+	for name, idx := range map[string]*Tree{"tree": tree, "sharded": shrd} {
 		t.Run(name, func(t *testing.T) {
 			windows := [][2]Key{{0, Key(^uint64(0))}}
 			for i := 0; i < 20; i++ {
@@ -152,8 +152,8 @@ func TestIterationMatchesRangeBothFrontEnds(t *testing.T) {
 func TestReverseCursorsPublicAPI(t *testing.T) {
 	tree, shrd, keys := buildBoth(t, 300)
 	top := Key(^uint64(0))
-	tc := tree.(*Tree).NewReverseCursor(top)
-	sc := shrd.(*Sharded).NewReverseCursor(top)
+	tc := tree.NewReverseCursor(top)
+	sc := shrd.NewReverseCursor(top)
 	for i := len(keys) - 1; i >= 0; i-- {
 		tk, _, tok := tc.Next()
 		sk, _, sok := sc.Next()

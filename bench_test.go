@@ -576,7 +576,7 @@ func BenchmarkE10BatchApply(b *testing.B) {
 	const population = 1 << 18
 	const batchSize = 512
 	stride := ^uint64(0)/population + 1
-	build := func(b *testing.B) (*Sharded, []BatchOp) {
+	build := func(b *testing.B) (*Tree, []BatchOp) {
 		idx, err := OpenSharded(8, Options{})
 		if err != nil {
 			b.Fatal(err)
@@ -632,14 +632,8 @@ func BenchmarkE10BatchApply(b *testing.B) {
 func BenchmarkE11ConditionalWrites(b *testing.B) {
 	const keySpace = 1 << 18
 	const preload = 50000
-	build := func(b *testing.B, shards int) Index {
-		var idx Index
-		var err error
-		if shards > 1 {
-			idx, err = OpenSharded(shards, Options{})
-		} else {
-			idx, err = Open(Options{})
-		}
+	build := func(b *testing.B, shards int) *Tree {
+		idx, err := OpenSharded(shards, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -652,7 +646,7 @@ func BenchmarkE11ConditionalWrites(b *testing.B) {
 		}
 		return idx
 	}
-	drive := func(b *testing.B, idx Index, emulated bool) {
+	drive := func(b *testing.B, idx *Tree, emulated bool) {
 		stride := ^uint64(0)/keySpace + 1
 		var seed atomic.Int64
 		b.ResetTimer()
@@ -744,13 +738,7 @@ func BenchmarkE12Durability(b *testing.B) {
 			if cfg.durable {
 				opts.Durable, opts.Dir = true, b.TempDir()
 			}
-			var idx Index
-			var err error
-			if cfg.shards > 1 {
-				idx, err = OpenSharded(cfg.shards, opts)
-			} else {
-				idx, err = Open(opts)
-			}
+			idx, err := OpenSharded(cfg.shards, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

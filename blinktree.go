@@ -9,13 +9,18 @@
 // concurrently with everything else — merge or redistribute underfull
 // nodes so that deletions do not degrade space utilization or height.
 //
-// Two front-ends implement the same Index interface:
+// One front-end, Tree, serves every configuration. A Tree is N ≥ 1
+// independent B-link trees (shards) range-partitioned over the
+// keyspace, each with its own lock table, compression queue and
+// reclamation epoch:
 //
-//   - NewTree / Open: one tree, the paper-faithful configuration.
-//   - NewSharded / OpenSharded: N independent trees range-partitioned
-//     over the keyspace, each with its own lock table, compression
-//     queue and reclamation epoch — the scaled configuration for
-//     write-heavy multicore workloads.
+//   - NewTree / Open: one shard, the paper-faithful configuration.
+//   - NewSharded / OpenSharded: N shards — the scaled configuration
+//     for write-heavy multicore workloads.
+//
+// Point operations route to the one shard owning the key; ordered
+// operations stitch shards in key order; ApplyBatch runs disjoint
+// shards in parallel.
 //
 // Quick start:
 //
@@ -28,8 +33,8 @@
 //		fmt.Println(k, v)
 //	}
 //
-// Beyond the paper's Search/Insert/Delete, both front-ends expose
-// atomic conditional writes — the read-modify-write shapes serving
+// Beyond the paper's Search/Insert/Delete, Tree exposes atomic
+// conditional writes — the read-modify-write shapes serving
 // workloads are made of — implemented inside the same protocol (one
 // descent, the decision under the single held leaf lock):
 //
@@ -40,15 +45,16 @@
 //	deleted, _ := t.CompareAndDelete(7, 70)
 //
 // Iteration is Go 1.23 range-over-func: All, Ascend(lo, hi) and
-// Descend(hi, lo) on both front-ends, plus explicit Cursor /
-// ReverseCursor types; the callback Range remains.
+// Descend(hi, lo), plus explicit Cursor / ReverseCursor types; the
+// callback Range remains.
 //
-// Durability is opt-in: Options{Durable: true, Dir: "..."} gives
-// either front-end a group-commit write-ahead log and crash recovery —
-// every mutation is acknowledged only after its log record is fsynced
-// (batched across concurrent writers into one sync), Open/OpenSharded
-// on the same Dir recovers "checkpoint + log suffix", and Checkpoint()
-// truncates the log without blocking readers or writers:
+// Durability is opt-in: Options{Durable: true, Dir: "..."} gives a
+// Tree a group-commit write-ahead log and crash recovery — every
+// mutation is acknowledged only after its log record is fsynced
+// (batched across concurrent writers into one sync), opening the same
+// Dir with the same shard count recovers "checkpoint + log suffix",
+// and Checkpoint() truncates the log without blocking readers or
+// writers:
 //
 //	t, _ := blinktree.Open(blinktree.Options{Durable: true, Dir: "/data/idx"})
 //	_ = t.Insert(42, 420)   // returns after the record is on disk
@@ -71,13 +77,10 @@
 package blinktree
 
 import (
-	"io"
 	"iter"
 
 	"blinktree/internal/base"
-	"blinktree/internal/blink"
 	"blinktree/internal/shard"
-	"blinktree/internal/verify"
 )
 
 // Key is a 64-bit search key; the full range is usable.
@@ -119,436 +122,154 @@ const (
 // engine: see shard.Options for the field docs.
 type Options = shard.Options
 
-// Iterator walks pairs in ascending key order: strictly ascending
-// keys, each key at most once, no locks held, concurrent mutations may
-// or may not be observed. Implemented by both front-ends' cursors.
-type Iterator interface {
-	// Next advances to the following pair, returning false at the end
-	// or on error (check Err).
-	Next() (Key, Value, bool)
-	// Seek repositions before the smallest key ≥ k; backwards is
-	// allowed.
-	Seek(k Key)
-	// Err returns the error that terminated iteration, if any.
-	Err() error
-}
+// Compile-time check that Tree satisfies the internal baseline
+// contract, so it can run in mixed fleets beside the baselines.
+var _ base.Tree = (*Tree)(nil)
 
-// Index is the interface shared by the single tree (Tree) and the
-// sharded front-end (Sharded): the paper's logical operations plus the
-// maintenance surface. All methods are safe for concurrent use; Check,
-// BulkLoad, Snapshot and Restore are exact only when quiesced.
-type Index interface {
-	// Insert stores v under k; ErrDuplicate if k is present.
-	Insert(k Key, v Value) error
-	// Search returns the value stored under k, or ErrNotFound.
-	Search(k Key) (Value, error)
-	// Delete removes k, or returns ErrNotFound.
-	Delete(k Key) error
-	// Upsert stores v under k unconditionally, returning the previous
-	// value and whether one existed. Atomic: one descent, the decision
-	// under the single held leaf lock.
-	Upsert(k Key, v Value) (old Value, existed bool, err error)
-	// GetOrInsert returns the value under k, inserting v first when k
-	// is absent; loaded reports whether it was already present.
-	GetOrInsert(k Key, v Value) (actual Value, loaded bool, err error)
-	// Update atomically replaces the value under k with fn(current) and
-	// returns the new value, or ErrNotFound. fn runs under the held
-	// leaf lock and may be re-invoked after internal restarts; keep it
-	// fast and side-effect free.
-	Update(k Key, fn func(Value) Value) (Value, error)
-	// CompareAndSwap replaces k's value with new only when it equals
-	// old. A missing key is ErrNotFound; a mismatch is (false, nil).
-	CompareAndSwap(k Key, old, new Value) (swapped bool, err error)
-	// CompareAndDelete removes k only when its value equals old, with
-	// the same convention as CompareAndSwap.
-	CompareAndDelete(k Key, old Value) (deleted bool, err error)
-	// Range calls fn for each pair with lo ≤ key ≤ hi in ascending
-	// order, stopping early if fn returns false.
-	Range(lo, hi Key, fn func(Key, Value) bool) error
-	// All returns a range-over-func iterator over every pair in
-	// ascending key order: for k, v := range idx.All() { ... }.
-	All() iter.Seq2[Key, Value]
-	// Ascend returns an iterator over lo ≤ key ≤ hi, ascending.
-	Ascend(lo, hi Key) iter.Seq2[Key, Value]
-	// Descend returns an iterator over lo ≤ key ≤ hi in descending
-	// order, from hi down to lo.
-	Descend(hi, lo Key) iter.Seq2[Key, Value]
-	// Min returns the smallest stored pair, or ErrNotFound when empty.
-	Min() (Key, Value, error)
-	// Max returns the largest stored pair, or ErrNotFound when empty.
-	Max() (Key, Value, error)
-	// Len returns the number of stored pairs (exact when quiesced).
-	Len() int
-	// Height returns the number of levels (the max across shards).
-	Height() int
-	// NewIterator returns an Iterator positioned before the smallest
-	// key ≥ start.
-	NewIterator(start Key) Iterator
-	// BulkLoad builds an empty index bottom-up from a strictly
-	// ascending pair stream; see Tree.BulkLoad.
-	BulkLoad(pairs func() (Key, Value, bool), fill float64) error
-	// Compact fully compresses the index; see Tree.Compact.
-	Compact() error
-	// DrainCompression processes pending underfull queues once.
-	DrainCompression() error
-	// CollectGarbage frees retired pages no live operation can still
-	// reference (§5.3).
-	CollectGarbage() (int, error)
-	// Check validates every structural invariant. Run it quiesced.
-	Check() error
-	// Stats returns a snapshot of operation and compression counters.
-	Stats() (Stats, error)
-	// Snapshot streams all pairs in ascending order to w.
-	Snapshot(w io.Writer) error
-	// Restore loads a Snapshot stream into the (fresh) index.
-	Restore(r io.Reader) error
-	// Checkpoint makes the current state durable as a snapshot and
-	// truncates the write-ahead log (no-op on a volatile index). It
-	// runs concurrently with readers and writers.
-	Checkpoint() error
-	// Close releases resources; the index must not be used afterwards.
-	Close() error
-}
-
-// Compile-time checks that both front-ends satisfy the shared
-// interfaces (and, for mixed fleets, the internal baseline contract).
-var (
-	_ Index     = (*Tree)(nil)
-	_ Index     = (*Sharded)(nil)
-	_ base.Tree = (Index)(nil)
-	_ Iterator  = (*Cursor)(nil)
-	_ Iterator  = (*ShardedCursor)(nil)
-)
-
-// Tree is a concurrent B-link tree — the paper-faithful single-tree
-// front-end. All methods are safe for concurrent use by any number of
-// goroutines.
+// Tree is a concurrent B-link tree range-partitioned into N ≥ 1
+// independent shards (shard i owns keys [i·2^64/N, (i+1)·2^64/N)).
+// Point operations route to one shard; ordered operations stitch
+// shards in key order; each shard has its own lock table, compression
+// queue and reclamation epoch, so contention stays within a shard. All
+// methods are safe for concurrent use by any number of goroutines.
 type Tree struct {
-	eng *shard.Engine
+	r *shard.Router
 }
 
-// Open creates a Tree per opts. With Options.Durable set, Open
-// recovers any state previously logged under Options.Dir (newest
-// checkpoint plus the surviving log suffix) before returning; a Dir
-// written by a sharded index is rejected (the on-disk layout records
-// its topology).
-func Open(opts Options) (*Tree, error) {
-	if opts.Durable && opts.Dir != "" {
-		if err := shard.EnsureLayout(opts.Dir, 1); err != nil {
-			return nil, err
-		}
-	}
-	eng, err := shard.OpenEngine(opts)
+// Open creates a one-shard Tree per opts; it is OpenSharded(1, opts).
+func Open(opts Options) (*Tree, error) { return OpenSharded(1, opts) }
+
+// NewTree returns a default in-memory one-shard Tree (background
+// compression, k = 16). It panics on failure, which the default
+// configuration cannot produce; use Open to handle errors or set
+// options.
+func NewTree() *Tree { return NewSharded(1) }
+
+// OpenSharded creates a Tree of n ≥ 1 shards, each configured per
+// opts. With a non-empty Path, shard i persists to "<path>.shard<i>".
+// With Options.Durable, shard i logs and recovers independently under
+// "<dir>/shard<i>" — one WAL segment set per shard, so shards
+// group-commit without cross-shard coordination — recovering any state
+// previously logged there (newest checkpoint plus the surviving log
+// suffix) before returning. The shard count must match across
+// reopenings of the same Dir (the on-disk layout records it).
+func OpenSharded(n int, opts Options) (*Tree, error) {
+	r, err := shard.NewRouter(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{eng: eng}, nil
+	return &Tree{r: r}, nil
 }
 
-// NewTree returns a default in-memory Tree (background compression,
-// k = 16). It panics on failure, which the default configuration
-// cannot produce; use Open to handle errors or set options.
-func NewTree() *Tree {
-	t, err := Open(Options{})
+// NewSharded returns a default in-memory Tree of n shards (background
+// compression, k = 16 per shard). It panics when n < 1; use
+// OpenSharded to handle errors or set options.
+func NewSharded(n int) *Tree {
+	t, err := OpenSharded(n, Options{})
 	if err != nil {
 		panic(err)
 	}
 	return t
 }
 
+// Shards returns the number of partitions.
+func (t *Tree) Shards() int { return t.r.Shards() }
+
 // Insert stores v under k; ErrDuplicate if k is present.
-func (t *Tree) Insert(k Key, v Value) error { return t.eng.Insert(k, v) }
+func (t *Tree) Insert(k Key, v Value) error { return t.r.Insert(k, v) }
 
 // Search returns the value stored under k, or ErrNotFound.
-func (t *Tree) Search(k Key) (Value, error) { return t.eng.Tree.Search(k) }
+func (t *Tree) Search(k Key) (Value, error) { return t.r.Search(k) }
 
 // Delete removes k, or returns ErrNotFound.
-func (t *Tree) Delete(k Key) error { return t.eng.Delete(k) }
+func (t *Tree) Delete(k Key) error { return t.r.Delete(k) }
 
 // Upsert stores v under k unconditionally, returning the previous
 // value and whether one existed. It is atomic under the paper's
 // protocol — one descent, the present/absent decision taken while the
 // single leaf lock is held — unlike a Search+Insert emulation.
-func (t *Tree) Upsert(k Key, v Value) (Value, bool, error) { return t.eng.Upsert(k, v) }
+func (t *Tree) Upsert(k Key, v Value) (Value, bool, error) { return t.r.Upsert(k, v) }
 
 // GetOrInsert returns the value under k, inserting v first when k is
 // absent; loaded reports whether it was already present.
-func (t *Tree) GetOrInsert(k Key, v Value) (Value, bool, error) {
-	return t.eng.GetOrInsert(k, v)
-}
+func (t *Tree) GetOrInsert(k Key, v Value) (Value, bool, error) { return t.r.GetOrInsert(k, v) }
 
 // Update atomically replaces the value under k with fn(current) and
 // returns the new value, or ErrNotFound. fn runs under the held leaf
 // lock and may be re-invoked after internal restarts; keep it fast and
 // side-effect free.
-func (t *Tree) Update(k Key, fn func(Value) Value) (Value, error) {
-	return t.eng.Update(k, fn)
-}
+func (t *Tree) Update(k Key, fn func(Value) Value) (Value, error) { return t.r.Update(k, fn) }
 
 // CompareAndSwap replaces k's value with new only when it equals old.
 // A missing key is ErrNotFound; a mismatch is (false, nil).
 func (t *Tree) CompareAndSwap(k Key, old, new Value) (bool, error) {
-	return t.eng.CompareAndSwap(k, old, new)
+	return t.r.CompareAndSwap(k, old, new)
 }
 
 // CompareAndDelete removes k only when its value equals old, with the
 // same convention as CompareAndSwap.
 func (t *Tree) CompareAndDelete(k Key, old Value) (bool, error) {
-	return t.eng.CompareAndDelete(k, old)
+	return t.r.CompareAndDelete(k, old)
 }
 
 // Range calls fn for each pair with lo ≤ key ≤ hi in ascending order,
 // stopping early if fn returns false.
-func (t *Tree) Range(lo, hi Key, fn func(Key, Value) bool) error {
-	return t.eng.Tree.Range(lo, hi, fn)
-}
+func (t *Tree) Range(lo, hi Key, fn func(Key, Value) bool) error { return t.r.Range(lo, hi, fn) }
 
 // All returns a range-over-func iterator over every pair in ascending
 // key order. It holds no locks; see NewCursor for the semantics under
 // concurrent mutation.
-func (t *Tree) All() iter.Seq2[Key, Value] { return t.eng.Tree.All() }
+func (t *Tree) All() iter.Seq2[Key, Value] { return t.r.All() }
 
 // Ascend returns an iterator over the pairs with lo ≤ key ≤ hi in
-// ascending key order.
-func (t *Tree) Ascend(lo, hi Key) iter.Seq2[Key, Value] { return t.eng.Tree.Ascend(lo, hi) }
+// ascending key order, crossing shard boundaries transparently.
+func (t *Tree) Ascend(lo, hi Key) iter.Seq2[Key, Value] { return t.r.Ascend(lo, hi) }
 
 // Descend returns an iterator over the pairs with lo ≤ key ≤ hi in
 // descending key order, from hi down to lo. Reverse order has no link
 // chain to ride (splits only ever create right links), so each leaf
 // hop costs one O(height) descent; see NewReverseCursor.
-func (t *Tree) Descend(hi, lo Key) iter.Seq2[Key, Value] { return t.eng.Tree.Descend(hi, lo) }
+func (t *Tree) Descend(hi, lo Key) iter.Seq2[Key, Value] { return t.r.Descend(hi, lo) }
 
 // Min returns the smallest stored pair, or ErrNotFound when empty.
-func (t *Tree) Min() (Key, Value, error) { return t.eng.Tree.Min() }
+func (t *Tree) Min() (Key, Value, error) { return t.r.Min() }
 
 // Max returns the largest stored pair, or ErrNotFound when empty.
-func (t *Tree) Max() (Key, Value, error) { return t.eng.Tree.Max() }
+func (t *Tree) Max() (Key, Value, error) { return t.r.Max() }
 
 // Len returns the number of stored pairs (exact when quiesced).
-func (t *Tree) Len() int { return t.eng.Tree.Len() }
+func (t *Tree) Len() int { return t.r.Len() }
 
-// Height returns the number of levels (1 for a root-leaf tree).
-func (t *Tree) Height() int { return t.eng.Tree.Height() }
+// Height returns the number of levels of the tallest shard (1 for a
+// root-leaf tree).
+func (t *Tree) Height() int { return t.r.Height() }
 
-// Compact fully compresses the tree: it drains the underfull queue,
-// then runs scan passes (§5.1) until every non-root node holds at least
-// MinPairs pairs and the height is minimal, then frees retired pages.
-// It may run concurrently with other operations, though it converges
-// fastest quiesced.
-func (t *Tree) Compact() error { return t.eng.Compact() }
+// Cursor iterates pairs in ascending key order, stitching per-shard
+// cursors end to end: strictly ascending keys, each key at most once,
+// no locks held, concurrent mutations may or may not be observed.
+type Cursor = shard.Cursor
 
-// DrainCompression processes the pending underfull queue once without
-// running full scan passes. No-op when compression is off.
-func (t *Tree) DrainCompression() error { return t.eng.DrainCompression() }
+// ReverseCursor iterates pairs in descending key order with the same
+// semantics. Each leaf hop re-descends for the predecessor (B-link
+// trees have no left links), costing O(height) per leaf instead of one
+// link read.
+type ReverseCursor = shard.ReverseCursor
 
-// CollectGarbage frees pages retired by compression that no live
-// operation can still reference (§5.3). Compact calls it, and
-// background compression calls it whenever a small batch of retired
-// pages has built up, so a caller needs it only to empty limbo now.
-func (t *Tree) CollectGarbage() (int, error) { return t.eng.CollectGarbage() }
-
-// Check validates every structural invariant. Run it quiesced.
-func (t *Tree) Check() error { return t.eng.Check() }
-
-// Checkpoint writes the tree's current state as a durable snapshot
-// and truncates the write-ahead log to the uncovered suffix, bounding
-// recovery time. It runs concurrently with readers and writers (the
-// snapshot is fuzzy; the kept log suffix replays idempotently on top).
-// No-op on a volatile tree; see Options.Durable.
-func (t *Tree) Checkpoint() error { return t.eng.Checkpoint() }
-
-// Close stops background compression and closes the store. The tree
-// must not be used afterwards.
-func (t *Tree) Close() error { return t.eng.Close() }
-
-// Cursor iterates pairs in ascending key order. See blink.Cursor for
-// the concurrent-mutation semantics (strictly ascending, each key at
-// most once, no locks held).
-type Cursor = blink.Cursor
-
-// ReverseCursor iterates pairs in descending key order: strictly
-// descending, each key at most once, no locks held. Each leaf hop
-// re-descends for the predecessor (B-link trees have no left links),
-// costing O(height) per leaf instead of one link read.
-type ReverseCursor = blink.ReverseCursor
-
-// NewCursor returns a cursor positioned before the smallest key ≥ start.
-func (t *Tree) NewCursor(start Key) *Cursor { return t.eng.Tree.NewCursor(start) }
+// NewCursor returns a cursor positioned before the smallest key ≥
+// start, routed directly to the shard owning start.
+func (t *Tree) NewCursor(start Key) *Cursor { return t.r.NewCursor(start) }
 
 // NewReverseCursor returns a cursor positioned before the largest key
 // ≤ start.
-func (t *Tree) NewReverseCursor(start Key) *ReverseCursor {
-	return t.eng.Tree.NewReverseCursor(start)
-}
-
-// NewIterator returns the same cursor as NewCursor behind the Iterator
-// interface.
-func (t *Tree) NewIterator(start Key) Iterator { return t.NewCursor(start) }
+func (t *Tree) NewReverseCursor(start Key) *ReverseCursor { return t.r.NewReverseCursor(start) }
 
 // BulkLoad builds an empty tree bottom-up from a strictly ascending
-// pair stream, packing nodes to the fill fraction (0 = fully packed).
-// It is much faster than repeated Insert and requires exclusive access;
-// the tree is fully concurrent afterwards.
+// pair stream, cutting it at shard boundaries and packing nodes to the
+// fill fraction (0 = fully packed). It is much faster than repeated
+// Insert and requires exclusive access; the tree is fully concurrent
+// afterwards. On a durable tree it ends with a checkpoint.
 func (t *Tree) BulkLoad(pairs func() (Key, Value, bool), fill float64) error {
-	return t.eng.BulkLoad(pairs, fill)
-}
-
-// Stats aggregates the counters of a front-end and its compressors.
-// For a sharded index, counters sum across shards, lock high-waters
-// take the shard maximum, and occupancy merges node-weighted.
-type Stats = shard.Stats
-
-// Stats returns a snapshot of operation and compression counters.
-// Occupancy is gathered with a full walk; avoid calling it in hot
-// loops.
-func (t *Tree) Stats() (Stats, error) { return t.eng.Stats() }
-
-// Verified reports whether the tree maintains the integrity hash tree
-// (Options.Verified).
-func (t *Tree) Verified() bool { return t.eng.Verified() }
-
-// Root returns the tree's state root: the deterministic hash of its
-// full content under the integrity layer's hash tree. Two trees with
-// the same pairs (and bucketing) have the same root. Concurrent with
-// writers the result is fuzzy-but-recent; quiesced it is exact.
-// Errors unless Options.Verified was set.
-func (t *Tree) Root() ([32]byte, error) {
-	r, err := t.eng.VerifyRoot()
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return verify.CombineShards([]verify.Hash{r}, t.eng.VerifyBuckets()), nil
-}
-
-// Sharded is the scaled front-end: N independent trees
-// range-partitioned over the keyspace (shard i owns keys
-// [i·2^64/N, (i+1)·2^64/N)). Point operations route to one shard;
-// ordered operations stitch shards in key order; each shard has its
-// own lock table, compression queue and reclamation epoch, so
-// contention stays within a shard. All methods are safe for concurrent
-// use by any number of goroutines.
-type Sharded struct {
-	r *shard.Router
-}
-
-// OpenSharded creates a sharded index of n ≥ 1 shards, each configured
-// per opts. With a non-empty Path, shard i persists to
-// "<path>.shard<i>". With Options.Durable, shard i logs and recovers
-// independently under "<dir>/shard<i>" — one WAL segment set per
-// shard, so shards group-commit without cross-shard coordination; the
-// shard count must match across reopenings of the same Dir.
-func OpenSharded(n int, opts Options) (*Sharded, error) {
-	r, err := shard.NewRouter(n, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Sharded{r: r}, nil
-}
-
-// NewSharded returns a default in-memory sharded index of n shards
-// (background compression, k = 16 per shard). It panics when n < 1;
-// use OpenSharded to handle errors or set options.
-func NewSharded(n int) *Sharded {
-	s, err := OpenSharded(n, Options{})
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Shards returns the number of partitions.
-func (s *Sharded) Shards() int { return s.r.Shards() }
-
-// Insert stores v under k in k's shard; ErrDuplicate if k is present.
-func (s *Sharded) Insert(k Key, v Value) error { return s.r.Insert(k, v) }
-
-// Search returns the value stored under k, or ErrNotFound.
-func (s *Sharded) Search(k Key) (Value, error) { return s.r.Search(k) }
-
-// Delete removes k from its shard, or returns ErrNotFound.
-func (s *Sharded) Delete(k Key) error { return s.r.Delete(k) }
-
-// Upsert stores v under k in k's shard, returning the previous value
-// and whether one existed. Atomic within the owning shard, like every
-// point operation.
-func (s *Sharded) Upsert(k Key, v Value) (Value, bool, error) { return s.r.Upsert(k, v) }
-
-// GetOrInsert returns the value under k, inserting v first when k is
-// absent from its shard.
-func (s *Sharded) GetOrInsert(k Key, v Value) (Value, bool, error) { return s.r.GetOrInsert(k, v) }
-
-// Update atomically replaces the value under k with fn(current) in k's
-// shard, or returns ErrNotFound.
-func (s *Sharded) Update(k Key, fn func(Value) Value) (Value, error) { return s.r.Update(k, fn) }
-
-// CompareAndSwap replaces k's value with new only when it equals old.
-func (s *Sharded) CompareAndSwap(k Key, old, new Value) (bool, error) {
-	return s.r.CompareAndSwap(k, old, new)
-}
-
-// CompareAndDelete removes k only when its value equals old.
-func (s *Sharded) CompareAndDelete(k Key, old Value) (bool, error) {
-	return s.r.CompareAndDelete(k, old)
-}
-
-// Range calls fn for each pair with lo ≤ key ≤ hi in ascending order
-// across all shards, stopping early if fn returns false.
-func (s *Sharded) Range(lo, hi Key, fn func(Key, Value) bool) error {
-	return s.r.Range(lo, hi, fn)
-}
-
-// All returns a range-over-func iterator over every pair of every
-// shard in ascending key order.
-func (s *Sharded) All() iter.Seq2[Key, Value] { return s.r.All() }
-
-// Ascend returns an iterator over lo ≤ key ≤ hi, ascending, crossing
-// shard boundaries transparently.
-func (s *Sharded) Ascend(lo, hi Key) iter.Seq2[Key, Value] { return s.r.Ascend(lo, hi) }
-
-// Descend returns an iterator over lo ≤ key ≤ hi in descending order,
-// from hi down to lo, visiting shards right to left.
-func (s *Sharded) Descend(hi, lo Key) iter.Seq2[Key, Value] { return s.r.Descend(hi, lo) }
-
-// Min returns the smallest stored pair, or ErrNotFound when empty.
-func (s *Sharded) Min() (Key, Value, error) { return s.r.Min() }
-
-// Max returns the largest stored pair, or ErrNotFound when empty.
-func (s *Sharded) Max() (Key, Value, error) { return s.r.Max() }
-
-// Len returns the total number of stored pairs (exact when quiesced).
-func (s *Sharded) Len() int { return s.r.Len() }
-
-// Height returns the tallest shard's level count.
-func (s *Sharded) Height() int { return s.r.Height() }
-
-// ShardedCursor iterates all shards in ascending key order by
-// stitching per-shard cursors end to end.
-type ShardedCursor = shard.Cursor
-
-// ShardedReverseCursor iterates all shards in descending key order,
-// stitching per-shard reverse cursors right to left.
-type ShardedReverseCursor = shard.ReverseCursor
-
-// NewCursor returns a cursor positioned before the smallest key ≥
-// start, in whichever shard owns it — routed directly, like point
-// operations, with no probes of other shards.
-func (s *Sharded) NewCursor(start Key) *ShardedCursor { return s.r.NewCursor(start) }
-
-// NewReverseCursor returns a cursor positioned before the largest key
-// ≤ start, in whichever shard owns it.
-func (s *Sharded) NewReverseCursor(start Key) *ShardedReverseCursor {
-	return s.r.NewReverseCursor(start)
-}
-
-// NewIterator returns the same cursor as NewCursor behind the Iterator
-// interface.
-func (s *Sharded) NewIterator(start Key) Iterator { return s.NewCursor(start) }
-
-// BulkLoad builds all shards bottom-up from one strictly ascending
-// pair stream, cutting it at partition boundaries. Same contract as
-// Tree.BulkLoad: empty index, exclusive access.
-func (s *Sharded) BulkLoad(pairs func() (Key, Value, bool), fill float64) error {
-	return s.r.BulkLoad(pairs, fill)
+	return t.r.BulkLoad(pairs, fill)
 }
 
 // BatchOp is one operation of an ApplyBatch call.
@@ -573,48 +294,68 @@ const (
 // group on its own goroutine, returning results positionally aligned
 // with ops. Errors are per-operation; a failed op does not stop the
 // batch. For cross-shard batches this amortizes routing and runs
-// disjoint shards truly in parallel.
-func (s *Sharded) ApplyBatch(ops []BatchOp) []BatchResult { return s.r.ApplyBatch(ops) }
+// disjoint shards truly in parallel; on a durable tree each shard
+// group waits for one group commit.
+func (t *Tree) ApplyBatch(ops []BatchOp) []BatchResult { return t.r.ApplyBatch(ops) }
 
-// Compact fully compresses every shard; see Tree.Compact.
-func (s *Sharded) Compact() error { return s.r.Compact() }
+// Compact fully compresses every shard: it drains the underfull
+// queues, then runs scan passes (§5.1) until every non-root node holds
+// at least MinPairs pairs and the height is minimal, then frees
+// retired pages. It may run concurrently with other operations, though
+// it converges fastest quiesced.
+func (t *Tree) Compact() error { return t.r.Compact() }
 
-// DrainCompression drains every shard's underfull queue once.
-func (s *Sharded) DrainCompression() error { return s.r.DrainCompression() }
+// DrainCompression processes the pending underfull queues once
+// without running full scan passes. No-op when compression is off.
+func (t *Tree) DrainCompression() error { return t.r.DrainCompression() }
 
-// CollectGarbage frees retired pages in every shard, returning the
-// total freed.
-func (s *Sharded) CollectGarbage() (int, error) { return s.r.CollectGarbage() }
+// CollectGarbage frees pages retired by compression that no live
+// operation can still reference (§5.3), returning the number freed.
+// Compact calls it, and background compression calls it whenever a
+// small batch of retired pages has built up, so a caller needs it only
+// to empty limbo now.
+func (t *Tree) CollectGarbage() (int, error) { return t.r.CollectGarbage() }
 
-// Check validates every shard's structural invariants. Run it
-// quiesced.
-func (s *Sharded) Check() error { return s.r.Check() }
+// Check validates every structural invariant. Run it quiesced.
+func (t *Tree) Check() error { return t.r.Check() }
 
-// Checkpoint checkpoints every shard independently — each writes its
-// own snapshot and truncates its own log, with no cross-shard barrier.
-// No-op on a volatile index; see Options.Durable.
-func (s *Sharded) Checkpoint() error { return s.r.Checkpoint() }
+// Checkpoint writes each shard's current state as a durable snapshot
+// and truncates its write-ahead log to the uncovered suffix, bounding
+// recovery time. Shards checkpoint independently, with no cross-shard
+// barrier. It runs concurrently with readers and writers (the snapshot
+// is fuzzy; the kept log suffix replays idempotently on top). No-op on
+// a volatile tree; see Options.Durable.
+func (t *Tree) Checkpoint() error { return t.r.Checkpoint() }
 
-// Stats aggregates all shards' counters; see Stats for the merge
-// rules. Occupancy walks every shard; avoid calling it in hot loops.
-func (s *Sharded) Stats() (Stats, error) { return s.r.Stats() }
+// Stats aggregates the counters of the shards and their compressors:
+// counters sum across shards, lock high-waters take the shard maximum,
+// and occupancy merges node-weighted.
+type Stats = shard.Stats
 
-// Verified reports whether the index maintains the integrity hash
-// tree (Options.Verified).
-func (s *Sharded) Verified() bool { return s.r.Verified() }
-
-// Root returns the index state root — per-shard roots combined into
-// one engine root. Same determinism contract as Tree.Root: equal
-// content (under equal shard count and bucketing) means equal root.
-func (s *Sharded) Root() ([32]byte, error) { return s.r.Root() }
+// Stats returns a snapshot of operation and compression counters.
+// Occupancy is gathered with a full walk; avoid calling it in hot
+// loops.
+func (t *Tree) Stats() (Stats, error) { return t.r.Stats() }
 
 // ShardStat is one shard's row of ShardStats.
 type ShardStat = shard.ShardStat
 
-// ShardStats reports routing balance and size per shard, cheaply (no
-// occupancy walk). Use it to spot partition skew.
-func (s *Sharded) ShardStats() []ShardStat { return s.r.ShardStats() }
+// ShardStats reports executed operations and size per shard, cheaply
+// (no occupancy walk). Use it to spot partition skew.
+func (t *Tree) ShardStats() []ShardStat { return t.r.ShardStats() }
 
-// Close closes every shard, returning the first error but closing
-// all. The index must not be used afterwards.
-func (s *Sharded) Close() error { return s.r.Close() }
+// Verified reports whether the tree maintains the integrity hash tree
+// (Options.Verified).
+func (t *Tree) Verified() bool { return t.r.Verified() }
+
+// Root returns the tree's state root: per-shard roots of the integrity
+// layer's hash tree combined into one. Two trees with the same pairs
+// (under equal shard count and bucketing) have the same root.
+// Concurrent with writers the result is fuzzy-but-recent; quiesced it
+// is exact. Errors unless Options.Verified was set.
+func (t *Tree) Root() ([32]byte, error) { return t.r.Root() }
+
+// Close stops background compression and closes every shard,
+// returning the first error but closing all. The tree must not be used
+// afterwards.
+func (t *Tree) Close() error { return t.r.Close() }

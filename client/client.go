@@ -394,6 +394,8 @@ func (c *Client) Promote(ctx context.Context) (bool, error) {
 }
 
 // Stats is the index-level counter snapshot a server reports.
+// Searches through Scans count the operations its shards executed,
+// batched or not; see docs/protocol.md.
 type Stats struct {
 	Shards   int
 	Len      uint64

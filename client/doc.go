@@ -1,7 +1,7 @@
 // Package client is the Go client for a blinktree network server
 // (internal/server, cmd/blinkserver). It speaks the length-prefixed
 // binary protocol specified in docs/protocol.md and mirrors the
-// blinktree.Index surface over the wire: point operations, the atomic
+// blinktree.Tree operation surface over the wire: point operations, the atomic
 // conditional writes, bounded scan pages, shard-parallel batches,
 // Len, Stats and Checkpoint.
 //

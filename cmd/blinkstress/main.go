@@ -164,20 +164,9 @@ func main() {
 		MinPairs:          *k,
 		CompressorWorkers: *compressors,
 	}
-	var tr blinktree.Index
-	var sh *blinktree.Sharded
-	if *shards > 1 {
-		s, err := blinktree.OpenSharded(*shards, opts)
-		if err != nil {
-			fatal("open", err)
-		}
-		tr, sh = s, s
-	} else {
-		t, err := blinktree.Open(opts)
-		if err != nil {
-			fatal("open", err)
-		}
-		tr = t
+	tr, err := blinktree.OpenSharded(*shards, opts)
+	if err != nil {
+		fatal("open", err)
 	}
 	defer tr.Close()
 
@@ -290,13 +279,13 @@ loop:
 		}
 		fmt.Printf("        %-7s %12d ops  %12.0f ops/s\n", kind, n, float64(n)/dur.Seconds())
 	}
-	if sh != nil {
-		fmt.Println("      shard balance (routed ops / pairs / height):")
-		for _, ss := range sh.ShardStats() {
-			routed := ss.Searches + ss.Inserts + ss.Deletes + ss.Upserts +
+	if *shards > 1 {
+		fmt.Println("      shard balance (executed ops / pairs / height):")
+		for _, ss := range tr.ShardStats() {
+			executed := ss.Searches + ss.Inserts + ss.Deletes + ss.Upserts +
 				ss.Updates + ss.Cas + ss.Scans
 			fmt.Printf("        shard %2d: %9d ops  %7d pairs  height %d\n",
-				ss.Shard, routed, ss.Len, ss.Height)
+				ss.Shard, executed, ss.Len, ss.Height)
 		}
 	}
 }

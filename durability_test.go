@@ -12,19 +12,11 @@ import (
 	"time"
 )
 
-// openDurable opens a front-end over dir: a single tree when shards ≤
-// 1, else a sharded index, so every durability test runs against both.
-func openDurable(t *testing.T, dir string, shards int) Index {
+// openDurable opens a durable tree of the given shard count over dir;
+// every durability test runs against one shard and against several.
+func openDurable(t *testing.T, dir string, shards int) *Tree {
 	t.Helper()
-	opts := Options{Durable: true, Dir: dir}
-	if shards > 1 {
-		idx, err := OpenSharded(shards, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}
-	idx, err := Open(opts)
+	idx, err := OpenSharded(shards, Options{Durable: true, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +26,7 @@ func openDurable(t *testing.T, dir string, shards int) Index {
 // crashIndex simulates a crash: at most partial bytes of any pending
 // commit group reach disk and nothing pending is flushed. The index
 // must be abandoned afterwards.
-func crashIndex(idx Index, partial int) {
-	switch v := idx.(type) {
-	case *Tree:
-		v.eng.CrashWAL(partial)
-	case *Sharded:
-		v.r.CrashWAL(partial)
-	}
-}
+func crashIndex(idx *Tree, partial int) { idx.r.CrashWAL(partial) }
 
 func stretchKey(i uint64) Key {
 	// Spread keys over the full range so sharded runs hit every shard.
@@ -141,7 +126,7 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	}
 
 	// On disk: exactly one checkpoint, and no segment predating it.
-	ents, err := os.ReadDir(dir)
+	ents, err := os.ReadDir(filepath.Join(dir, "shard0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +231,7 @@ func TestDurableCheckpointWithCompressionChurn(t *testing.T) {
 		t.Run(map[int]string{1: "tree", 4: "sharded"}[shards], func(t *testing.T) {
 			dir := t.TempDir()
 			opts := Options{Durable: true, Dir: dir, MinPairs: 4, CompressorWorkers: 2}
-			var idx Index
-			var err error
-			if shards > 1 {
-				idx, err = OpenSharded(shards, opts)
-			} else {
-				idx, err = Open(opts)
-			}
+			idx, err := OpenSharded(shards, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +316,7 @@ type durState struct {
 // against a WAL-backed index, the committer is killed at a randomized
 // torn-write offset, and recovery must yield a prefix-consistent
 // state — every acknowledged operation present, nothing present that
-// was never issued — for both front-ends.
+// was never issued — on one shard and on four.
 func TestDurableCrashRecovery(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(map[int]string{1: "tree", 4: "sharded"}[shards], func(t *testing.T) {
@@ -451,19 +430,13 @@ func TestDurableCrashRecovery(t *testing.T) {
 // a pool far smaller than the working set (8 frames of 256-byte pages
 // per shard), so eviction write-back runs throughout every test using
 // it.
-func openDiskNative(t *testing.T, dir string, shards int) Index {
+func openDiskNative(t *testing.T, dir string, shards int) *Tree {
 	t.Helper()
 	opts := Options{
 		Durable: true, Dir: dir, MinPairs: 2, PageSize: 256,
 		DiskNative: true, CacheBytes: 8 * 256,
 	}
-	var idx Index
-	var err error
-	if shards > 1 {
-		idx, err = OpenSharded(shards, opts)
-	} else {
-		idx, err = Open(opts)
-	}
+	idx, err := OpenSharded(shards, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +595,7 @@ func TestDurableTornTailEveryByte(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(src)
+	ents, err := os.ReadDir(filepath.Join(src, "shard0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +608,7 @@ func TestDurableTornTailEveryByte(t *testing.T) {
 			segName = e.Name()
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(src, segName))
+	data, err := os.ReadFile(filepath.Join(src, "shard0", segName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +618,11 @@ func TestDurableTornTailEveryByte(t *testing.T) {
 	}
 	for cut := 0; cut <= len(data); cut++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName), data[:cut], 0o644); err != nil {
+		shard0 := filepath.Join(dir, "shard0")
+		if err := os.Mkdir(shard0, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(shard0, segName), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := Open(Options{Durable: true, Dir: dir})
@@ -834,6 +811,55 @@ func TestDurableRequiresDir(t *testing.T) {
 	}
 	if _, err := OpenSharded(2, Options{Durable: true}); err == nil {
 		t.Fatal("sharded Durable without Dir succeeded")
+	}
+}
+
+// TestDurableOneShardLayout: Open and OpenSharded(1, …) are the same
+// index, so each reopens the other's Dir with every key; a Dir with a
+// log segment at its root (the old single-tree layout) is refused, not
+// opened as an empty index.
+func TestDurableOneShardLayout(t *testing.T) {
+	dir := t.TempDir()
+	idx, err := Open(Options{Durable: true, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 100; i++ {
+		if err := idx.Insert(Key(i), Value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenSharded(1, Options{Durable: true, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 100 {
+		t.Fatalf("OpenSharded(1) recovered %d of 100 keys written through Open", re.Len())
+	}
+	for i := uint64(0); i < 100; i++ {
+		if v, err := re.Search(Key(i)); err != nil || v != Value(i) {
+			t.Fatalf("Search(%d) = (%d, %v)", i, v, err)
+		}
+	}
+
+	old := t.TempDir()
+	for name, data := range map[string]string{
+		"LAYOUT":                   "blinktree durable layout: shards=1\n",
+		"wal-0000000000000000.seg": "",
+	} {
+		if err := os.WriteFile(filepath.Join(old, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(Options{Durable: true, Dir: old}); err == nil || !strings.Contains(err.Error(), filepath.Join(old, "shard0")) {
+		t.Fatalf("opening a root-level log: %v, want a refusal naming %s", err, filepath.Join(old, "shard0"))
+	}
+	if _, err := os.Stat(filepath.Join(old, "shard0")); !os.IsNotExist(err) {
+		t.Fatalf("refused open still created shard0: %v", err)
 	}
 }
 

@@ -90,7 +90,7 @@ func ExampleTree_Descend() {
 }
 
 // GetOrInsert is the cache idiom: one atomic lookup-or-fill.
-func ExampleSharded_GetOrInsert() {
+func ExampleTree_GetOrInsert() {
 	s := blinktree.NewSharded(4)
 	defer s.Close()
 
@@ -184,8 +184,8 @@ func ExampleTree_Compact() {
 	// invariants: true
 }
 
-// A sharded index serves the same Index interface as the single tree,
-// partitioning the keyspace across independent trees.
+// A Tree of several shards serves the same operations as one of a
+// single shard, partitioning the keyspace across independent trees.
 func ExampleNewSharded() {
 	s := blinktree.NewSharded(4)
 	defer s.Close()

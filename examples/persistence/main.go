@@ -37,7 +37,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fi, _ := os.Stat(dbPath)
+	// Shard i of a tree pages to "<Path>.shard<i>"; this tree has one.
+	fi, err := os.Stat(dbPath + ".shard0")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("paged tree: %d keys, height %d, db file %d KiB\n", tr.Len(), tr.Height(), fi.Size()/1024)
 
 	v, err := tr.Search(blinktree.Key(3 * 12345))
@@ -58,7 +62,10 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	sfi, _ := os.Stat(snapPath)
+	sfi, err := os.Stat(snapPath)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("snapshot written: %d KiB\n", sfi.Size()/1024)
 	if err := tr.Close(); err != nil {
 		log.Fatal(err)

@@ -1,8 +1,8 @@
 // Sharded: scale the Sagiv tree past one lock table by
 // range-partitioning the keyspace across independent trees. Point
 // operations route to one shard, ordered scans stitch shards in key
-// order, and batches run shard-parallel — all behind the same Index
-// interface as the single tree.
+// order, and batches run shard-parallel — the same blinktree.Tree
+// type and calls as a one-shard tree.
 package main
 
 import (
@@ -17,7 +17,7 @@ func main() {
 	// Four independent trees, each with its own lock table, compression
 	// queue and reclamation epoch. blinktree.NewTree() would serve the
 	// same calls from one tree.
-	var idx blinktree.Index = blinktree.NewSharded(4)
+	idx := blinktree.NewSharded(4)
 	defer idx.Close()
 
 	// Spread keys over the full uint64 range so every shard gets some.
@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("inserted %d pairs, height %d\n", idx.Len(), idx.Height())
 
 	// Ordered iteration crosses shard boundaries transparently.
-	it := idx.NewIterator(0)
+	it := idx.NewCursor(0)
 	count := 0
 	var prev blinktree.Key
 	for {
@@ -56,7 +56,6 @@ func main() {
 
 	// Batched dispatch: operations are grouped by destination shard and
 	// each group runs on its own goroutine.
-	s := idx.(*blinktree.Sharded)
 	batch := make([]blinktree.BatchOp, 0, 1000)
 	for i := 0; i < 1000; i++ {
 		k := keys[rng.Intn(len(keys))] // stored key: a hit
@@ -66,7 +65,7 @@ func main() {
 		batch = append(batch, blinktree.BatchOp{Kind: blinktree.BatchSearch, Key: k})
 	}
 	hits := 0
-	for _, res := range s.ApplyBatch(batch) {
+	for _, res := range idx.ApplyBatch(batch) {
 		if res.Err == nil {
 			hits++
 		}
@@ -75,9 +74,9 @@ func main() {
 
 	// Per-shard balance: random uint64 keys should split ~evenly.
 	fmt.Println("shard balance:")
-	for _, st := range s.ShardStats() {
-		fmt.Printf("  shard %d: %5d pairs, %5d ops routed\n",
-			st.Shard, st.Len, st.Searches+st.Inserts+st.Deletes+st.BatchOps)
+	for _, st := range idx.ShardStats() {
+		fmt.Printf("  shard %d: %5d pairs, %5d ops executed\n",
+			st.Shard, st.Len, st.Searches+st.Inserts+st.Deletes)
 	}
 
 	if err := idx.Check(); err != nil {

@@ -79,9 +79,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, st := range ss {
 		fmt.Fprintf(w, "blinkshard_pairs{shard=\"%d\"} %d\n", st.Shard, st.Len)
 	}
-	fmt.Fprintf(w, "# HELP blinkshard_routed_ops_total point+scan ops routed per shard\n# TYPE blinkshard_routed_ops_total counter\n")
+	fmt.Fprintf(w, "# HELP blinkshard_routed_ops_total point+scan ops executed per shard, batched or not\n# TYPE blinkshard_routed_ops_total counter\n")
 	for _, st := range ss {
-		routed := st.Searches + st.Inserts + st.Deletes + st.Upserts + st.Updates + st.Cas + st.Scans + st.BatchOps
+		routed := st.Searches + st.Inserts + st.Deletes + st.Upserts + st.Updates + st.Cas + st.Scans
 		fmt.Fprintf(w, "blinkshard_routed_ops_total{shard=\"%d\"} %d\n", st.Shard, routed)
 	}
 

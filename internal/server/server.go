@@ -968,7 +968,7 @@ func batchKind(op uint8) (shard.OpKind, bool) {
 }
 
 // serveStats answers the cheap index-level counters (no occupancy
-// walk): per-shard routed totals plus size and height.
+// walk): per-shard executed-op totals plus size and height.
 func (s *Server) serveStats(c *connState, rq *request) {
 	var fields [wire.StatsFields]uint64
 	ss := s.r.ShardStats()

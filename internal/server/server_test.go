@@ -348,6 +348,33 @@ func TestConcurrentPipelining(t *testing.T) {
 	}
 }
 
+// TestStatsCountServedOps: point ops served over the wire run through
+// ApplyBatchInto, and Stats must still count each one the shards
+// executed.
+func TestStatsCountServedOps(t *testing.T) {
+	_, _, c := start(t, 4, Config{}, shard.Options{})
+	ctx := context.Background()
+	const n = 100
+	stride := ^uint64(0)/n + 1
+	for i := uint64(0); i < n; i++ {
+		if err := c.Insert(ctx, client.Key(i*stride), client.Value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < n; i++ {
+		if v, err := c.Search(ctx, client.Key(i*stride)); err != nil || v != client.Value(i) {
+			t.Fatalf("search %d: %d, %v", i, v, err)
+		}
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Searches != n || st.Inserts != n || st.BatchOps != 2*n {
+		t.Fatalf("stats after %d inserts and %d searches: %+v", n, n, st)
+	}
+}
+
 func TestDurableOverWireWithCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	opts := shard.Options{Durable: true, Dir: dir}

@@ -183,36 +183,16 @@ func (r *Router) runGroup(s int, idxs []int32, ops []Op, results []Result, pend 
 	// commit tickets — and fsync-wait once at the end: the shard group
 	// rides a single group commit instead of paying one fsync per
 	// operation.
-	durable := e.wal != nil
 	for _, i := range idxs {
-		op := ops[i]
 		var tk wal.Ticket
-		switch op.Kind {
-		case OpInsert:
-			tk, results[i].Err = e.insertT(op.Key, op.Value)
-		case OpDelete:
-			tk, results[i].Err = e.deleteT(op.Key)
-		case OpUpsert:
-			results[i].Value, results[i].OK, tk, results[i].Err = e.upsertT(op.Key, op.Value)
-		case OpGetOrInsert:
-			results[i].Value, results[i].OK, tk, results[i].Err = e.getOrInsertT(op.Key, op.Value)
-		case OpCompareAndSwap:
-			results[i].OK, tk, results[i].Err = e.compareAndSwapT(op.Key, op.Old, op.Value)
-		case OpCompareAndDelete:
-			results[i].OK, tk, results[i].Err = e.compareAndDeleteT(op.Key, op.Old)
-		default:
-			results[i].Value, results[i].Err = e.Tree.Search(op.Key)
-			continue
-		}
-		if durable && results[i].Err == nil {
-			if tk.Pending() {
-				pend = append(pend, pendingCommit{i: i, t: tk})
-			} else if err := tk.Wait(); err != nil {
-				// Not attached to a group, yet erroring: the append
-				// itself failed (log crashed or closed). A genuine
-				// no-op's zero ticket returns nil here.
-				results[i].Err = err
-			}
+		results[i], tk = e.exec(ops[i])
+		if tk.Pending() {
+			pend = append(pend, pendingCommit{i: i, t: tk})
+		} else if err := tk.Wait(); err != nil {
+			// Not attached to a group, yet erroring: the append itself
+			// failed (log crashed or closed). The zero ticket of a
+			// search, a failed op or a volatile engine returns nil.
+			results[i].Err = err
 		}
 	}
 	if len(pend) > 0 {

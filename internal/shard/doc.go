@@ -17,8 +17,7 @@
 // Layout of the package:
 //
 //   - engine.go: Engine, the bundle of one tree plus its compression
-//     and reclamation lifecycle; OpenEngine subsumes what the
-//     public blinktree.Open used to assemble inline.
+//     and reclamation lifecycle, assembled by OpenEngine.
 //   - router.go: Router, the range partitioner. Point operations —
 //     including the conditional writes Upsert, GetOrInsert, Update,
 //     CompareAndSwap and CompareAndDelete, which stay atomic because
@@ -30,8 +29,8 @@
 //     at-most-once, no-locks semantics as a single tree's cursor
 //     (§2.1 footnote 3, §5.2), skipping empty shards without paying
 //     a descent to probe them.
-//   - iter.go: All/Ascend/Descend adapt the stitched cursors to Go
-//     1.23 range-over-func iteration.
+//   - iter.go: All/Ascend/Descend, Go 1.23 range-over-func iteration
+//     that walks the owning shards' tree cursors in key order.
 //   - batch.go: ApplyBatch groups operations by destination shard and
 //     dispatches each group on its own goroutine — amortizing routing
 //     and letting disjoint shards proceed truly in parallel. Every
@@ -39,11 +38,17 @@
 //     batched. On a durable engine a shard group appends all its log
 //     records first and waits for one group commit, so a batch pays
 //     ~one fsync per touched shard, not one per operation.
-//   - ops.go: the Engine operation surface the Router and facade call.
-//     Volatile engines pass straight through to the tree; durable ones
-//     (Options.Durable + Dir) wrap each mutation in apply-under-stripe-
-//     lock + append-to-WAL + wait-for-group-commit, normalizing every
-//     outcome to a put/del record of its resolved value. Recovery
+//   - ops.go: the Engine operation surface the Router calls. Each
+//     operation is written once (exec, plus Update for the closure):
+//     lock takes the key's stripe only on a durable engine (Options.
+//     Durable + Dir), and logged marks the verify bucket and appends
+//     the put/del record of the resolved outcome only on a durable
+//     engine, which then waits for its group commit. The stripes
+//     remain: they make apply and append one step per key, so racing
+//     same-key mutations log in apply order and a log position cuts
+//     the applied state exactly — which Checkpoint, SealedRoot (it
+//     holds every stripe) and the cluster fence rely on. Removing
+//     them needs a replacement cut designed first. Recovery
 //     (openDurable) and Checkpoint live in engine.go; the log itself
 //     is internal/wal. Checkpoint's fuzzy scan runs concurrently with
 //     searches and updates but pauses background compression
@@ -65,7 +70,8 @@
 // ShardStats) expose that imbalance.
 //
 // Above the Router sit two callers: the public blinktree facade
-// (in-process) and internal/server, the TCP front-end, which
+// (in-process; blinktree.Tree is a thin wrapper over a Router, the
+// single tree being the one-shard case) and internal/server, the TCP front-end, which
 // coalesces each burst of pipelined network requests into one
 // ApplyBatch. The Router is the integration point deliberately: both
 // callers get shard parallelism and per-shard group commit from the

@@ -50,7 +50,8 @@ type Options struct {
 	// goroutines (§5.4 mode 2). Default 1. Ignored unless background.
 	CompressorWorkers int
 	// Path, when non-empty, stores nodes in a file at this path through
-	// the page codec instead of in memory. PageSize (default 4096) and
+	// the page codec instead of in memory (a Router's shard i uses
+	// "<Path>.shard<i>"). PageSize (default 4096) and
 	// CachePages (default 1024, LRU buffer pool; 0 disables caching)
 	// control the paged store.
 	Path       string
@@ -79,7 +80,7 @@ type Options struct {
 	// every mutating operation appends a logical record to a group-
 	// commit write-ahead log in Dir and is acknowledged only after its
 	// group's fsync, and opening the same Dir again recovers the state
-	// "checkpoint + log suffix". For a sharded index, shard i logs
+	// "checkpoint + log suffix". A Router's shard i logs
 	// independently under Dir/shard<i>.
 	Durable bool
 	// Dir is the durability directory (segments + checkpoints).

@@ -6,9 +6,10 @@ import (
 	"blinktree/internal/base"
 )
 
-// Range-over-func iteration over the whole fleet, built on the
-// stitched cursors: ascending sequences visit shards left to right,
-// descending ones right to left, with the cursors' no-locks,
+// Range-over-func iteration over the whole fleet: ascending sequences
+// walk the owning shards' tree cursors left to right, descending ones
+// right to left. Partitions are contiguous, so chaining keeps global
+// key order, and each shard keeps its tree cursor's no-locks,
 // at-most-once, may-or-may-not-observe-concurrent-mutation semantics.
 // A sequence that hits an internal error simply stops; use the cursor
 // API directly when that distinction matters.
@@ -25,14 +26,16 @@ func (r *Router) Ascend(lo, hi base.Key) iter.Seq2[base.Key, base.Value] {
 		if hi < lo {
 			return
 		}
-		c := r.NewCursor(lo)
-		for {
-			k, v, ok := c.Next()
-			if !ok || k > hi {
-				return
-			}
-			if !yield(k, v) {
-				return
+		for i := r.shardFor(lo); i <= r.shardFor(hi); i++ {
+			c := r.engines[i].Tree.NewCursor(max(lo, r.lowKey(i)))
+			for {
+				k, v, ok := c.Next()
+				if !ok || k > hi {
+					break
+				}
+				if !yield(k, v) {
+					return
+				}
 			}
 		}
 	}
@@ -46,14 +49,16 @@ func (r *Router) Descend(hi, lo base.Key) iter.Seq2[base.Key, base.Value] {
 		if hi < lo {
 			return
 		}
-		c := r.NewReverseCursor(hi)
-		for {
-			k, v, ok := c.Next()
-			if !ok || k < lo {
-				return
-			}
-			if !yield(k, v) {
-				return
+		for i := r.shardFor(hi); i >= r.shardFor(lo); i-- {
+			c := r.engines[i].Tree.NewReverseCursor(min(hi, r.highKey(i)))
+			for {
+				k, v, ok := c.Next()
+				if !ok || k < lo {
+					break
+				}
+				if !yield(k, v) {
+					return
+				}
 			}
 		}
 	}

@@ -1,231 +1,165 @@
 package shard
 
 import (
+	"sync"
+
 	"blinktree/internal/base"
 	"blinktree/internal/wal"
 )
 
-// Engine operation surface. The Router and the public facade route
-// every logical operation through these methods rather than the inner
-// tree, so one code path covers both regimes:
+// Engine operation surface. The Router routes every logical operation
+// through these methods rather than the inner tree, and each operation
+// is written once, in exec, for both regimes:
 //
-//   - Volatile (no WAL): a method is exactly its tree call.
-//   - Durable: the tree apply and the log append happen under a
-//     per-key stripe lock — so racing mutations of the same key
-//     append in apply order and replay converges to the live state —
-//     and the operation returns only after its group commit fsyncs.
-//     Failed operations (duplicate insert, missing delete, CAS
-//     mismatch) log nothing.
+//   - lock takes k's stripe only on a durable engine, so racing
+//     mutations of the same key append in apply order and replay
+//     converges to the live state.
+//   - logged marks k's verify bucket and, only on a durable engine,
+//     appends the record; the operation then returns only after its
+//     group commit fsyncs. Failed operations (duplicate insert,
+//     missing delete, CAS mismatch) log nothing.
 //
 // Every logical mutation is normalized to its resolved outcome before
 // logging: Update logs the computed value, not the closure; CAS logs
-// the new value only when it swapped. The ...T variants return the
-// commit Ticket instead of waiting, which lets ApplyBatch append a
-// whole shard group and block once for its last ticket (group commits
-// complete in order, so the last ticket covers the rest).
+// the new value only when it swapped. exec returns the commit Ticket
+// instead of waiting, which lets ApplyBatch append a whole shard group
+// and block once for its last ticket (group commits complete in order,
+// so the last ticket covers the rest).
 
-// Insert stores v under k; base.ErrDuplicate if k is present.
-func (e *Engine) Insert(k base.Key, v base.Value) error {
-	t, err := e.insertT(k, v)
-	if err != nil {
-		return err
-	}
-	return t.Wait()
-}
-
-func (e *Engine) insertT(k base.Key, v base.Value) (wal.Ticket, error) {
+// lock takes k's stripe when the engine is durable and returns it for
+// unlock; a volatile engine takes nothing.
+func (e *Engine) lock(k base.Key) *sync.Mutex {
 	if e.wal == nil {
-		err := e.Tree.Insert(k, v)
-		if err == nil {
-			e.markVerify(k)
-		}
-		return wal.Ticket{}, err
+		return nil
 	}
 	s := e.stripe(k)
 	s.Lock()
-	err := e.Tree.Insert(k, v)
-	var t wal.Ticket
-	if err == nil {
-		e.markVerify(k)
-		t = e.wal.Append(wal.Record{Kind: wal.KindPut, Key: k, Value: v})
+	return s
+}
+
+func unlock(s *sync.Mutex) {
+	if s != nil {
+		s.Unlock()
 	}
-	s.Unlock()
-	return t, err
+}
+
+// logged records a mutation that took effect: it dirties the key's
+// verify bucket and, on a durable engine, appends rec to the log.
+func (e *Engine) logged(rec wal.Record) wal.Ticket {
+	e.markVerify(rec.Key)
+	if e.wal == nil {
+		return wal.Ticket{}
+	}
+	return e.wal.Append(rec)
+}
+
+func put(k base.Key, v base.Value) wal.Record {
+	return wal.Record{Kind: wal.KindPut, Key: k, Value: v}
+}
+
+func del(k base.Key) wal.Record { return wal.Record{Kind: wal.KindDel, Key: k} }
+
+// exec applies op and returns its result with the commit ticket of its
+// log record (the zero Ticket when nothing was logged).
+func (e *Engine) exec(op Op) (res Result, t wal.Ticket) {
+	k := op.Key
+	if op.Kind == OpSearch {
+		res.Value, res.Err = e.Tree.Search(k)
+		return res, t
+	}
+	s := e.lock(k)
+	switch op.Kind {
+	case OpInsert:
+		if res.Err = e.Tree.Insert(k, op.Value); res.Err == nil {
+			t = e.logged(put(k, op.Value))
+		}
+	case OpDelete:
+		if res.Err = e.Tree.Delete(k); res.Err == nil {
+			t = e.logged(del(k))
+		}
+	case OpUpsert:
+		if res.Value, res.OK, res.Err = e.Tree.Upsert(k, op.Value); res.Err == nil {
+			t = e.logged(put(k, op.Value))
+		}
+	case OpGetOrInsert:
+		// Only the inserting outcome mutates, so only it logs.
+		if res.Value, res.OK, res.Err = e.Tree.GetOrInsert(k, op.Value); res.Err == nil && !res.OK {
+			t = e.logged(put(k, res.Value))
+		}
+	case OpCompareAndSwap:
+		if res.OK, res.Err = e.Tree.CompareAndSwap(k, op.Old, op.Value); res.Err == nil && res.OK {
+			t = e.logged(put(k, op.Value))
+		}
+	case OpCompareAndDelete:
+		if res.OK, res.Err = e.Tree.CompareAndDelete(k, op.Old); res.Err == nil && res.OK {
+			t = e.logged(del(k))
+		}
+	}
+	unlock(s)
+	return res, t
+}
+
+// do applies op and waits for its group commit.
+func (e *Engine) do(op Op) Result {
+	res, t := e.exec(op)
+	if res.Err == nil {
+		res.Err = t.Wait()
+	}
+	return res
+}
+
+// Insert stores v under k; base.ErrDuplicate if k is present.
+func (e *Engine) Insert(k base.Key, v base.Value) error {
+	return e.do(Op{Kind: OpInsert, Key: k, Value: v}).Err
 }
 
 // Delete removes k, or returns base.ErrNotFound.
 func (e *Engine) Delete(k base.Key) error {
-	t, err := e.deleteT(k)
-	if err != nil {
-		return err
-	}
-	return t.Wait()
-}
-
-func (e *Engine) deleteT(k base.Key) (wal.Ticket, error) {
-	if e.wal == nil {
-		err := e.Tree.Delete(k)
-		if err == nil {
-			e.markVerify(k)
-		}
-		return wal.Ticket{}, err
-	}
-	s := e.stripe(k)
-	s.Lock()
-	err := e.Tree.Delete(k)
-	var t wal.Ticket
-	if err == nil {
-		e.markVerify(k)
-		t = e.wal.Append(wal.Record{Kind: wal.KindDel, Key: k})
-	}
-	s.Unlock()
-	return t, err
+	return e.do(Op{Kind: OpDelete, Key: k}).Err
 }
 
 // Upsert stores v under k unconditionally, returning the previous
 // value and whether one existed.
 func (e *Engine) Upsert(k base.Key, v base.Value) (base.Value, bool, error) {
-	old, existed, t, err := e.upsertT(k, v)
-	if err == nil {
-		err = t.Wait()
-	}
-	return old, existed, err
-}
-
-func (e *Engine) upsertT(k base.Key, v base.Value) (base.Value, bool, wal.Ticket, error) {
-	if e.wal == nil {
-		old, existed, err := e.Tree.Upsert(k, v)
-		if err == nil {
-			e.markVerify(k)
-		}
-		return old, existed, wal.Ticket{}, err
-	}
-	s := e.stripe(k)
-	s.Lock()
-	old, existed, err := e.Tree.Upsert(k, v)
-	var t wal.Ticket
-	if err == nil {
-		e.markVerify(k)
-		t = e.wal.Append(wal.Record{Kind: wal.KindPut, Key: k, Value: v})
-	}
-	s.Unlock()
-	return old, existed, t, err
+	r := e.do(Op{Kind: OpUpsert, Key: k, Value: v})
+	return r.Value, r.OK, r.Err
 }
 
 // GetOrInsert returns the value under k, inserting v first when k is
-// absent; loaded reports whether it was already present. Only the
-// inserting outcome mutates, so only it logs.
+// absent; loaded reports whether it was already present.
 func (e *Engine) GetOrInsert(k base.Key, v base.Value) (base.Value, bool, error) {
-	actual, loaded, t, err := e.getOrInsertT(k, v)
-	if err == nil {
-		err = t.Wait()
-	}
-	return actual, loaded, err
-}
-
-func (e *Engine) getOrInsertT(k base.Key, v base.Value) (base.Value, bool, wal.Ticket, error) {
-	if e.wal == nil {
-		actual, loaded, err := e.Tree.GetOrInsert(k, v)
-		if err == nil && !loaded {
-			e.markVerify(k)
-		}
-		return actual, loaded, wal.Ticket{}, err
-	}
-	s := e.stripe(k)
-	s.Lock()
-	actual, loaded, err := e.Tree.GetOrInsert(k, v)
-	var t wal.Ticket
-	if err == nil && !loaded {
-		e.markVerify(k)
-		t = e.wal.Append(wal.Record{Kind: wal.KindPut, Key: k, Value: actual})
-	}
-	s.Unlock()
-	return actual, loaded, t, err
-}
-
-// Update atomically replaces the value under k with fn(current) and
-// returns the new value, or base.ErrNotFound. The log records the
-// resolved value, never the closure.
-func (e *Engine) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, error) {
-	if e.wal == nil {
-		v, err := e.Tree.Update(k, fn)
-		if err == nil {
-			e.markVerify(k)
-		}
-		return v, err
-	}
-	s := e.stripe(k)
-	s.Lock()
-	v, err := e.Tree.Update(k, fn)
-	var t wal.Ticket
-	if err == nil {
-		e.markVerify(k)
-		t = e.wal.Append(wal.Record{Kind: wal.KindPut, Key: k, Value: v})
-	}
-	s.Unlock()
-	if err != nil {
-		return v, err
-	}
-	return v, t.Wait()
+	r := e.do(Op{Kind: OpGetOrInsert, Key: k, Value: v})
+	return r.Value, r.OK, r.Err
 }
 
 // CompareAndSwap replaces k's value with new only when it equals old.
-// Only a successful swap mutates, so only it logs.
 func (e *Engine) CompareAndSwap(k base.Key, old, new base.Value) (bool, error) {
-	swapped, t, err := e.compareAndSwapT(k, old, new)
-	if err == nil {
-		err = t.Wait()
-	}
-	return swapped, err
-}
-
-func (e *Engine) compareAndSwapT(k base.Key, old, new base.Value) (bool, wal.Ticket, error) {
-	if e.wal == nil {
-		swapped, err := e.Tree.CompareAndSwap(k, old, new)
-		if err == nil && swapped {
-			e.markVerify(k)
-		}
-		return swapped, wal.Ticket{}, err
-	}
-	s := e.stripe(k)
-	s.Lock()
-	swapped, err := e.Tree.CompareAndSwap(k, old, new)
-	var t wal.Ticket
-	if err == nil && swapped {
-		e.markVerify(k)
-		t = e.wal.Append(wal.Record{Kind: wal.KindPut, Key: k, Value: new})
-	}
-	s.Unlock()
-	return swapped, t, err
+	r := e.do(Op{Kind: OpCompareAndSwap, Key: k, Old: old, Value: new})
+	return r.OK, r.Err
 }
 
 // CompareAndDelete removes k only when its value equals old.
 func (e *Engine) CompareAndDelete(k base.Key, old base.Value) (bool, error) {
-	deleted, t, err := e.compareAndDeleteT(k, old)
-	if err == nil {
-		err = t.Wait()
-	}
-	return deleted, err
+	r := e.do(Op{Kind: OpCompareAndDelete, Key: k, Old: old})
+	return r.OK, r.Err
 }
 
-func (e *Engine) compareAndDeleteT(k base.Key, old base.Value) (bool, wal.Ticket, error) {
-	if e.wal == nil {
-		deleted, err := e.Tree.CompareAndDelete(k, old)
-		if err == nil && deleted {
-			e.markVerify(k)
-		}
-		return deleted, wal.Ticket{}, err
-	}
-	s := e.stripe(k)
-	s.Lock()
-	deleted, err := e.Tree.CompareAndDelete(k, old)
+// Update atomically replaces the value under k with fn(current) and
+// returns the new value, or base.ErrNotFound. It is not an Op (it
+// carries a function), but it takes the same lock and logged steps;
+// the log records the resolved value, never the closure.
+func (e *Engine) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, error) {
+	s := e.lock(k)
+	v, err := e.Tree.Update(k, fn)
 	var t wal.Ticket
-	if err == nil && deleted {
-		e.markVerify(k)
-		t = e.wal.Append(wal.Record{Kind: wal.KindDel, Key: k})
+	if err == nil {
+		t = e.logged(put(k, v))
 	}
-	s.Unlock()
-	return deleted, t, err
+	unlock(s)
+	if err != nil {
+		return v, err
+	}
+	return v, t.Wait()
 }
 
 // BulkLoad builds the empty engine bottom-up from a strictly ascending

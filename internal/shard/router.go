@@ -12,22 +12,11 @@ import (
 	"blinktree/internal/storage"
 )
 
-// OpMetrics counts the operations routed to one shard, wired into the
-// internal/metrics kit so callers can watch partition balance live.
-// The inner tree keeps its own structural counters (splits, link hops,
-// restarts); these count what the Router sent its way.
+// OpMetrics describes the ApplyBatch dispatches routed to one shard,
+// wired into the internal/metrics kit: one observation per batch slice.
+// Per-operation counts live in the engine's tree (blink.Stats), which
+// counts every op the shard executes, batched or not.
 type OpMetrics struct {
-	Searches metrics.Counter
-	Inserts  metrics.Counter
-	Deletes  metrics.Counter
-	Scans    metrics.Counter
-	// Upserts counts Upsert + GetOrInsert, Updates counts Update, and
-	// Cas counts CompareAndSwap + CompareAndDelete routed to the shard.
-	Upserts metrics.Counter
-	Updates metrics.Counter
-	Cas     metrics.Counter
-	// Batches and BatchLatency describe ApplyBatch dispatches: one
-	// observation per batch slice routed to this shard.
 	Batches      metrics.Counter
 	BatchOps     metrics.Counter
 	BatchLatency metrics.Histogram
@@ -52,7 +41,7 @@ func NewRouter(n int, opts Options) (*Router, error) {
 		return nil, fmt.Errorf("shard: %d shards (need ≥ 1)", n)
 	}
 	if opts.Durable && opts.Dir != "" {
-		if err := EnsureLayout(opts.Dir, n); err != nil {
+		if err := ensureLayout(opts.Dir, n); err != nil {
 			return nil, err
 		}
 	}
@@ -103,7 +92,7 @@ func (r *Router) ShardFor(k base.Key) int { return r.shardFor(k) }
 // lowKey returns the smallest key shard i can own.
 func (r *Router) lowKey(i int) base.Key { return base.Key(uint64(i) * r.stride) }
 
-// Metrics returns the routed-operation counters of shard i.
+// Metrics returns the batch counters of shard i.
 func (r *Router) Metrics(i int) *OpMetrics { return &r.ms[i] }
 
 // ShardSpan returns the inclusive key range shard i owns.
@@ -120,9 +109,7 @@ func (r *Router) Durable() bool { return r.engines[0].WAL() != nil }
 
 // Insert stores v under k in k's shard.
 func (r *Router) Insert(k base.Key, v base.Value) error {
-	i := r.shardFor(k)
-	r.ms[i].Inserts.Inc()
-	return r.engines[i].Insert(k, v)
+	return r.engines[r.shardFor(k)].Insert(k, v)
 }
 
 // InsertDirect stores v under k in k's shard, bypassing the write-
@@ -140,54 +127,40 @@ func (r *Router) InsertDirect(k base.Key, v base.Value) error {
 
 // Search returns the value stored under k, or base.ErrNotFound.
 func (r *Router) Search(k base.Key) (base.Value, error) {
-	i := r.shardFor(k)
-	r.ms[i].Searches.Inc()
-	return r.engines[i].Tree.Search(k)
+	return r.engines[r.shardFor(k)].Tree.Search(k)
 }
 
 // Delete removes k from its shard, or returns base.ErrNotFound.
 func (r *Router) Delete(k base.Key) error {
-	i := r.shardFor(k)
-	r.ms[i].Deletes.Inc()
-	return r.engines[i].Delete(k)
+	return r.engines[r.shardFor(k)].Delete(k)
 }
 
 // Upsert stores v under k in k's shard, returning the previous value
 // and whether one existed.
 func (r *Router) Upsert(k base.Key, v base.Value) (base.Value, bool, error) {
-	i := r.shardFor(k)
-	r.ms[i].Upserts.Inc()
-	return r.engines[i].Upsert(k, v)
+	return r.engines[r.shardFor(k)].Upsert(k, v)
 }
 
 // GetOrInsert returns the value under k, inserting v first when k is
 // absent from its shard.
 func (r *Router) GetOrInsert(k base.Key, v base.Value) (base.Value, bool, error) {
-	i := r.shardFor(k)
-	r.ms[i].Upserts.Inc()
-	return r.engines[i].GetOrInsert(k, v)
+	return r.engines[r.shardFor(k)].GetOrInsert(k, v)
 }
 
 // Update atomically replaces the value under k with fn(current), or
 // returns base.ErrNotFound.
 func (r *Router) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, error) {
-	i := r.shardFor(k)
-	r.ms[i].Updates.Inc()
-	return r.engines[i].Update(k, fn)
+	return r.engines[r.shardFor(k)].Update(k, fn)
 }
 
 // CompareAndSwap swaps k's value from old to new in its shard.
 func (r *Router) CompareAndSwap(k base.Key, old, new base.Value) (bool, error) {
-	i := r.shardFor(k)
-	r.ms[i].Cas.Inc()
-	return r.engines[i].CompareAndSwap(k, old, new)
+	return r.engines[r.shardFor(k)].CompareAndSwap(k, old, new)
 }
 
 // CompareAndDelete removes k from its shard when its value equals old.
 func (r *Router) CompareAndDelete(k base.Key, old base.Value) (bool, error) {
-	i := r.shardFor(k)
-	r.ms[i].Cas.Inc()
-	return r.engines[i].CompareAndDelete(k, old)
+	return r.engines[r.shardFor(k)].CompareAndDelete(k, old)
 }
 
 // Range calls fn for each pair with lo ≤ key ≤ hi in ascending order
@@ -212,7 +185,6 @@ func (r *Router) Range(lo, hi base.Key, fn func(base.Key, base.Value) bool) erro
 		if i > first {
 			from = r.lowKey(i)
 		}
-		r.ms[i].Scans.Inc()
 		if err := r.engines[i].Tree.Range(from, hi, wrapped); err != nil {
 			return err
 		}
@@ -286,6 +258,11 @@ func (r *Router) BulkLoad(pairs func() (base.Key, base.Value, bool), fill float6
 		}
 		boundary := base.Key(0)
 		last := i == len(r.engines)-1
+		if last && !held {
+			// Nothing carried over: the rest of the stream is this
+			// shard's, with no per-pair cut to check.
+			return e.BulkLoad(pairs, fill)
+		}
 		if !last {
 			boundary = r.lowKey(i + 1)
 		}
@@ -445,47 +422,53 @@ func (r *Router) Stats() (Stats, error) {
 }
 
 // ShardStat is the per-shard row of ShardStats: who owns what, how
-// much was routed there, and how the shard is doing.
+// much the shard executed, and how the shard is doing.
 type ShardStat struct {
 	Shard      int
 	Low        base.Key // smallest key this shard can own
 	Len        int
 	Height     int
 	QueueDepth int
-	Searches   uint64 // ops routed by this Router
-	Inserts    uint64
-	Deletes    uint64
-	Upserts    uint64
-	Updates    uint64
-	Cas        uint64
-	Scans      uint64
-	Batches    uint64
-	BatchOps   uint64
+	// Searches through Scans count the operations the shard's tree
+	// executed, batched or not, recovery replay and checkpoint scans
+	// included (the categories of blink.StatsSnapshot).
+	Searches uint64
+	Inserts  uint64
+	Deletes  uint64
+	Upserts  uint64
+	Updates  uint64
+	Cas      uint64
+	Scans    uint64
+	// Batches and BatchOps count the ApplyBatch slices routed to the
+	// shard and the operations they carried (also counted above).
+	Batches  uint64
+	BatchOps uint64
 	// Pool carries the shard's buffer pool counters when the shard is
 	// disk-native or file-backed (Pooled false otherwise).
 	Pool   storage.PoolStats
 	Pooled bool
 }
 
-// ShardStats reports routing balance and size per shard, cheaply (no
+// ShardStats reports balance and size per shard, cheaply (no
 // occupancy walk).
 func (r *Router) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(r.engines))
 	for i, e := range r.engines {
 		m := &r.ms[i]
+		ts := e.Tree.Stats()
 		out[i] = ShardStat{
 			Shard:      i,
 			Low:        r.lowKey(i),
 			Len:        e.Tree.Len(),
 			Height:     e.Tree.Height(),
 			QueueDepth: e.QueueDepth(),
-			Searches:   m.Searches.Load(),
-			Inserts:    m.Inserts.Load(),
-			Deletes:    m.Deletes.Load(),
-			Upserts:    m.Upserts.Load(),
-			Updates:    m.Updates.Load(),
-			Cas:        m.Cas.Load(),
-			Scans:      m.Scans.Load(),
+			Searches:   ts.Searches,
+			Inserts:    ts.Inserts,
+			Deletes:    ts.Deletes,
+			Upserts:    ts.Upserts,
+			Updates:    ts.Updates,
+			Cas:        ts.Cas,
+			Scans:      ts.Scans,
 			Batches:    m.Batches.Load(),
 			BatchOps:   m.BatchOps.Load(),
 		}

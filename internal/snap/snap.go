@@ -1,7 +1,7 @@
 // Package snap is the snapshot stream codec shared by the public
 // Snapshot/Restore API and the WAL checkpoint writer. Keeping one
-// codec means a checkpoint IS a snapshot: portable across front-ends
-// and shard counts, and verifiable with the same CRC.
+// codec means a checkpoint IS a snapshot: portable across shard
+// counts, and verifiable with the same CRC.
 //
 // Stream format (little endian):
 //

@@ -24,6 +24,12 @@ type Overlay struct {
 	scan  ScanFunc
 	dirty []atomic.Bool
 
+	// rehashMu serializes Rehash passes. Without it a root reader could
+	// find a bucket clean whose hash a concurrent pass (the background
+	// hasher) has cleared but not yet stored, and fold the old leaf; or
+	// a slow pass could store a hash older than a faster one's.
+	rehashMu sync.Mutex
+
 	mu     sync.Mutex // guards leaves
 	leaves []Hash
 
@@ -62,8 +68,10 @@ func (o *Overlay) MarkAll() {
 
 // Rehash re-hashes every currently dirty bucket and reports how many
 // it did. Safe to call concurrently with mutators and with itself
-// (concurrent calls may duplicate work, never lose it).
+// (concurrent calls run one after the other).
 func (o *Overlay) Rehash() (int, error) {
+	o.rehashMu.Lock()
+	defer o.rehashMu.Unlock()
 	done := 0
 	for b := range o.dirty {
 		if !o.dirty[b].CompareAndSwap(true, false) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // mapScan adapts a plain map to ScanFunc for tests.
@@ -113,6 +114,56 @@ func TestIncrementalOnlyRehashesDirty(t *testing.T) {
 	}
 	if n := ov.Rehashed.Load() - before; n != 1 {
 		t.Fatalf("one mutation re-hashed %d buckets, want 1", n)
+	}
+}
+
+// TestRootWaitsForInFlightRehash: a root read while another pass (the
+// background hasher) has cleared a bucket's dirty flag but not yet
+// stored its hash must not fold the bucket's old leaf.
+func TestRootWaitsForInFlightRehash(t *testing.T) {
+	m := map[uint64]uint64{5: 1}
+	want, err := NewOverlay(1, mapScan(m, nil)).Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inScan, release := make(chan struct{}), make(chan struct{})
+	plain := mapScan(m, nil)
+	first := true
+	ov := NewOverlay(1, func(lo, hi uint64, fn func(k, v uint64) bool) error {
+		if first { // only the first pass runs the scan; see below
+			first = false
+			close(inScan)
+			<-release
+		}
+		return plain(lo, hi, fn)
+	})
+	passDone := make(chan error, 1)
+	go func() {
+		_, err := ov.Rehash()
+		passDone <- err
+	}()
+	<-inScan
+	// The bucket is clean now, so the root read below scans nothing
+	// (first is never read concurrently): it must wait for the pass.
+	rootDone := make(chan Hash, 1)
+	go func() {
+		r, err := ov.Root()
+		if err != nil {
+			t.Error(err)
+		}
+		rootDone <- r
+	}()
+	select {
+	case r := <-rootDone:
+		t.Fatalf("Root returned %x while a pass was still hashing the bucket (want %x)", r[:8], want[:8])
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-passDone; err != nil {
+		t.Fatal(err)
+	}
+	if r := <-rootDone; r != want {
+		t.Fatalf("Root = %x, want %x", r[:8], want[:8])
 	}
 }
 

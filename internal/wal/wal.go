@@ -660,6 +660,16 @@ func listSegments(dir string) ([]uint64, error) {
 	return ids, nil
 }
 
+// HasLog reports whether dir holds any log segment or checkpoint.
+func HasLog(dir string) (bool, error) {
+	ids, err := listSegments(dir)
+	if err != nil {
+		return false, err
+	}
+	_, _, ok, err := LatestCheckpoint(dir)
+	return len(ids) > 0 || ok, err
+}
+
 // LatestCheckpoint returns the newest checkpoint file in dir and the
 // segment id it covers up to, or ok=false when none exists.
 func LatestCheckpoint(dir string) (seg uint64, path string, ok bool, err error) {

@@ -57,11 +57,11 @@ func TestShardedBasics(t *testing.T) {
 	}
 }
 
-// Both front-ends behave identically behind Index.
+// One shard and four behave identically.
 func TestIndexInterfaceParity(t *testing.T) {
-	make_ := map[string]func() Index{
-		"tree":    func() Index { return NewTree() },
-		"sharded": func() Index { return NewSharded(4) },
+	make_ := map[string]func() *Tree{
+		"tree":    NewTree,
+		"sharded": func() *Tree { return NewSharded(4) },
 	}
 	keys := spreadKeys(60)
 	for name, mk := range make_ {
@@ -73,8 +73,8 @@ func TestIndexInterfaceParity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Ordered iteration through the Iterator interface.
-			it := idx.NewIterator(0)
+			// Ordered iteration through a cursor.
+			it := idx.NewCursor(0)
 			for i, want := range keys {
 				k, _, ok := it.Next()
 				if !ok || k != want {
@@ -127,7 +127,7 @@ func TestIndexInterfaceParity(t *testing.T) {
 	}
 }
 
-// Snapshots move between front-ends and shard counts.
+// Snapshots move between shard counts.
 func TestSnapshotAcrossFrontEnds(t *testing.T) {
 	src := NewSharded(4)
 	defer src.Close()
@@ -143,7 +143,7 @@ func TestSnapshotAcrossFrontEnds(t *testing.T) {
 	}
 	snap := buf.Bytes()
 
-	for name, dst := range map[string]Index{
+	for name, dst := range map[string]*Tree{
 		"tree":      NewTree(),
 		"resharded": NewSharded(7),
 	} {
